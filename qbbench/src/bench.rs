@@ -23,24 +23,29 @@ use pds_storage::{PartitionedRelation, Tuple};
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
 
 use crate::data::{Op, OpStream, Truth, SEARCH_ATTR};
-use crate::stats::SelfTimes;
+use crate::stats::{Done, SelfTimes, Slices, Timeline};
 
 /// Worker threads of every shard daemon.  Fixed, not derived from the
 /// machine's core count, so runs on different machines load alike.
 pub const DAEMON_WORKERS: usize = 2;
 
 /// A run builds at least this many deployments, and more until
-/// [`SETUP_BUDGET`] is spent; `setup_s` is their median.  A small
-/// deployment sets up in about 10 ms, so it takes many builds to make its
-/// median steady.
+/// [`SETUP_BUDGET`] is spent; `setup_s` is their median.  A deployment
+/// sets up in 10 to 80 ms, and a burst of host load slows a few of them by
+/// half, so it takes many builds to make the median steady.
 pub const SETUP_MIN_REPS: usize = 5;
 
 /// Set-up time a run spends, at least, on repeated deployments.
-pub const SETUP_BUDGET: Duration = Duration::from_secs(1);
+pub const SETUP_BUDGET: Duration = Duration::from_secs(2);
 
 /// Length of the untimed warm-up phase before the timed one: it fills the
 /// cache and faults the code in.
 pub const WARMUP: Duration = Duration::from_millis(1_000);
+
+/// Equal slices a timed window is cut into: `ops_per_s` and `read_p50_ms`
+/// are medians over them.  A 20 s window gives 2 s slices, each with at
+/// least 18 read calls in every workload.
+pub const SLICES: usize = 10;
 
 /// Queries per read call of the untimed exhaustive pass.
 const CHECK_BATCH: usize = 64;
@@ -88,8 +93,8 @@ pub struct Spec {
     /// Zipf exponent of query popularity; `None` = shuffled exhaustive
     /// passes.
     pub zipf: Option<f64>,
-    /// Every n-th operation is a clear-text insert.
-    pub insert_every: Option<u64>,
+    /// One clear-text insert per this interval of a phase, per client.
+    pub insert_every: Option<Duration>,
 }
 
 /// The benchmark's workloads.
@@ -128,7 +133,7 @@ pub const SPECS: [Spec; 3] = [
         cache_bins: 0,
         batch: 1,
         zipf: None,
-        insert_every: Some(10),
+        insert_every: Some(Duration::from_millis(10)),
     },
 ];
 
@@ -303,6 +308,8 @@ impl Deployment {
 struct ClientLog {
     start: Option<Instant>,
     end: Option<Instant>,
+    /// Every completed operation: when, how many, read latency.
+    done: Vec<(Instant, u64, Option<f64>)>,
     read_ms: Vec<f64>,
     insert_ms: Vec<f64>,
     queries: u64,
@@ -321,6 +328,8 @@ pub struct Phase {
     pub wall_s: f64,
     /// Latency of every read call, in ms, ascending.
     pub read_ms: Vec<f64>,
+    /// Throughput and read latency of each slice of the window.
+    pub slices: Slices,
     /// Latency of every insert, in ms, ascending.
     pub insert_ms: Vec<f64>,
     /// Point queries answered.
@@ -432,12 +441,18 @@ impl Tenant {
         deadline: Instant,
         tracer: Option<&Mutex<SelfTimes>>,
     ) -> ClientLog {
+        let start = Instant::now();
         let mut log = ClientLog {
-            start: Some(Instant::now()),
+            start: Some(start),
             ..ClientLog::default()
         };
-        while Instant::now() < deadline {
-            match self.input.ops.next_op() {
+        self.input.ops.start_clock(start);
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            match self.input.ops.next_op(now) {
                 Op::Read(values) => {
                     let t = Instant::now();
                     let run = {
@@ -449,7 +464,10 @@ impl Tenant {
                             transport,
                         )
                     };
-                    log.read_ms.push(secs(t) * 1e3);
+                    let ms = secs(t) * 1e3;
+                    log.read_ms.push(ms);
+                    log.done
+                        .push((Instant::now(), values.len() as u64, Some(ms)));
                     drain_into(tracer);
                     log.queries += values.len() as u64;
                     match run {
@@ -465,6 +483,7 @@ impl Tenant {
                     let t = Instant::now();
                     let done = self.insert(transport, &value, &tuple);
                     log.insert_ms.push(secs(t) * 1e3);
+                    log.done.push((Instant::now(), 1, None));
                     drain_into(tracer);
                     log.inserts += 1;
                     match done {
@@ -591,6 +610,23 @@ pub fn timed_phase(dep: &mut Deployment, window: Duration, traced: bool) -> Resu
     let end = logs.iter().filter_map(|l| l.end).max();
     if let (Some(start), Some(end)) = (start, end) {
         phase.wall_s = end.duration_since(start).as_secs_f64();
+        let since = |t: Instant| t.duration_since(start).as_secs_f64();
+        let timelines: Vec<Timeline> = logs
+            .iter()
+            .map(|l| Timeline {
+                start_s: l.start.map_or(0.0, since),
+                done: l
+                    .done
+                    .iter()
+                    .map(|&(at, ops, read_ms)| Done {
+                        at_s: since(at),
+                        ops,
+                        read_ms,
+                    })
+                    .collect(),
+            })
+            .collect();
+        phase.slices = Slices::new(&timelines, window.as_secs_f64(), SLICES);
     }
     for timed in logs {
         phase.failed += timed.failed;
@@ -611,6 +647,45 @@ pub fn timed_phase(dep: &mut Deployment, window: Duration, traced: bool) -> Resu
         t.owner.reset_metrics();
     }
     Ok(phase)
+}
+
+/// The untimed priming pass of a cached workload: every value once per
+/// tenant, in read calls of the workload's batch size, with the cache on.
+///
+/// The cache serves a bin pair only after the cloud has seen it fetched
+/// together once, so under Zipf draws alone the set of servable pairs
+/// grows with every rare value the stream happens to reach and throughput
+/// keeps rising for tens of seconds.  After one pass every pair is
+/// servable and the timed window is steady: its hit ratio is that of the
+/// LRU on the Zipf stream.  Returns (attempted, failed); a workload
+/// without a cache is not primed.
+pub fn prime(dep: &mut Deployment, values: &[Value]) -> (u64, u64) {
+    let mut failed = 0;
+    let mut attempted = 0;
+    if dep.spec.cache_bins == 0 {
+        return (0, 0);
+    }
+    for t in &mut dep.tenants {
+        for chunk in values.chunks(dep.spec.batch) {
+            attempted += chunk.len() as u64;
+            let run = {
+                let _span = obs_span("bench.prime");
+                t.executor.run_workload_transported(
+                    &mut t.owner,
+                    &mut t.router,
+                    chunk,
+                    &BinTransport::Threaded,
+                )
+            };
+            match run {
+                Ok(run) => failed += t.input.truth.count_wrong(chunk, &run.answers),
+                Err(_) => failed += chunk.len() as u64,
+            }
+        }
+        t.router.reset_metrics();
+        t.owner.reset_metrics();
+    }
+    (attempted, failed)
 }
 
 /// The untimed exhaustive pass: every value once per tenant, in-process

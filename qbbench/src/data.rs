@@ -2,6 +2,7 @@
 //! and the operation streams the closed-loop clients send.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use pds_common::rng::{seeded_rng, shuffle};
 use pds_common::{Result, TupleId, Value};
@@ -211,18 +212,30 @@ pub enum Op {
 
 /// Clear-text inserts for values that already have a non-sensitive bin:
 /// each copies an existing tuple of the value under a fresh id.
+///
+/// Inserts are due on a clock, one per `every`, not one per so many
+/// operations: every insert grows a bin that later reads return, so a
+/// count-based schedule would let a faster host grow the relation faster
+/// and measure its later reads on a larger relation.  On the clock, the
+/// relation at any moment of a phase is the same in every run.
 #[derive(Debug, Clone)]
 pub struct Inserts {
-    every: u64,
+    every: Duration,
+    due: Option<Instant>,
     values: Passes,
     templates: HashMap<Value, Tuple>,
     next_id: u64,
 }
 
 impl Inserts {
-    /// Every `every`-th operation inserts a copy of a non-sensitive tuple
-    /// of `nonsensitive`; fresh ids start at `first_id`.
-    pub fn new(every: u64, nonsensitive: &Relation, first_id: u64, seed: u64) -> Result<Inserts> {
+    /// One insert of a copy of a non-sensitive tuple of `nonsensitive`
+    /// per `every` of a phase; fresh ids start at `first_id`.
+    pub fn new(
+        every: Duration,
+        nonsensitive: &Relation,
+        first_id: u64,
+        seed: u64,
+    ) -> Result<Inserts> {
         let attr = nonsensitive.schema().attr_id(SEARCH_ATTR)?;
         let mut templates = HashMap::new();
         for t in nonsensitive.tuples() {
@@ -234,6 +247,7 @@ impl Inserts {
         values.sort_by_key(Value::encode);
         Ok(Inserts {
             every,
+            due: None,
             values: Passes::new(values, seed),
             templates,
             next_id: first_id,
@@ -242,13 +256,12 @@ impl Inserts {
 }
 
 /// One client's operation stream: reads in batches of `batch`, with an
-/// insert in place of every `Inserts::every`-th operation.
+/// insert whenever one is due.
 #[derive(Debug, Clone)]
 pub struct OpStream {
     reads: Reads,
     batch: usize,
     inserts: Option<Inserts>,
-    sent: u64,
 }
 
 impl OpStream {
@@ -258,15 +271,25 @@ impl OpStream {
             reads,
             batch,
             inserts,
-            sent: 0,
         }
     }
 
-    /// The next operation.
-    pub fn next_op(&mut self) -> Op {
-        self.sent += 1;
+    /// Starts a phase at `start`: the first insert is due one interval
+    /// later.
+    pub fn start_clock(&mut self, start: Instant) {
         if let Some(ins) = &mut self.inserts {
-            if self.sent % ins.every == 0 {
+            ins.due = Some(start + ins.every);
+        }
+    }
+
+    /// The next operation at time `now`: an insert if one is due (a
+    /// client that fell behind catches up one insert per call), else a
+    /// read.
+    pub fn next_op(&mut self, now: Instant) -> Op {
+        if let Some(ins) = &mut self.inserts {
+            let due = *ins.due.get_or_insert(now + ins.every);
+            if now >= due {
+                ins.due = Some(due + ins.every);
                 let value = ins.values.next_value();
                 let mut tuple = ins.templates[&value].clone();
                 tuple.id = TupleId::new(ins.next_id);
@@ -308,21 +331,43 @@ mod tests {
     }
 
     #[test]
-    fn every_tenth_operation_inserts_a_fresh_tuple() {
+    fn inserts_are_due_on_the_clock_with_fresh_ids() {
         let parts = partition(&lineitem(400, 5), 5).unwrap();
-        let inserts = Inserts::new(10, &parts.nonsensitive, 1_000, 1).unwrap();
+        let every = Duration::from_millis(10);
+        let inserts = Inserts::new(every, &parts.nonsensitive, 1_000, 1).unwrap();
         let values = all_values(&parts).unwrap();
         let mut ops = OpStream::new(Reads::Passes(Passes::new(values, 2)), 1, Some(inserts));
-        let kinds: Vec<Op> = (0..20).map(|_| ops.next_op()).collect();
-        for (i, op) in kinds.iter().enumerate() {
-            match op {
-                Op::Insert { tuple, .. } => {
-                    assert_eq!(i % 10, 9);
-                    assert_eq!(tuple.id.raw(), 1_000 + (i as u64 / 10));
+        let t0 = Instant::now();
+        ops.start_clock(t0);
+        let ms = |n| t0 + Duration::from_millis(n);
+        // Due at 10, 20, 30 ms: on time at 10 ms, two behind at 35 ms.
+        let kinds: Vec<Option<u64>> = [5, 9, 10, 10, 35, 35, 35, 36]
+            .into_iter()
+            .map(|at| match ops.next_op(ms(at)) {
+                Op::Insert { tuple, .. } => Some(tuple.id.raw()),
+                Op::Read(batch) => {
+                    assert_eq!(batch.len(), 1);
+                    None
                 }
-                Op::Read(batch) => assert_eq!(batch.len(), 1),
-            }
-        }
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                None,
+                None,
+                Some(1_000),
+                None,
+                Some(1_001),
+                Some(1_002),
+                None,
+                None
+            ]
+        );
+        // A new phase restarts the clock.
+        ops.start_clock(ms(100));
+        assert!(matches!(ops.next_op(ms(105)), Op::Read(_)));
+        assert!(matches!(ops.next_op(ms(110)), Op::Insert { .. }));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Duration;
 use pds_common::rng::derive_seed;
 use pds_common::Result;
 use qbbench::bench::{
-    exhaustive_pass, peak_rss_mb, secure, setup, spec, timed_phase, ClientInput, Deployment,
+    exhaustive_pass, peak_rss_mb, prime, secure, setup, spec, timed_phase, ClientInput, Deployment,
     Inject, Spec, DAEMON_WORKERS, SETUP_BUDGET, SETUP_MIN_REPS, SPECS, WARMUP,
 };
 use qbbench::data::{
@@ -156,6 +156,9 @@ fn run(args: &Args) -> Result<bool> {
     // traced run splits its window into an untraced reference half and a
     // traced half, so the tracing overhead is measured in the same run.
     let window = Duration::from_secs(args.seconds);
+    let mut primer = Passes::new(values.clone(), derive_seed(seed, "prime"));
+    let primer: Vec<_> = (0..values.len()).map(|_| primer.next_value()).collect();
+    let (primed, prime_failed) = prime(&mut dep, &primer);
     let warmup = timed_phase(&mut dep, WARMUP, false)?;
     let (reference, traced) = if args.trace {
         let half = window / 2;
@@ -181,8 +184,8 @@ fn run(args: &Args) -> Result<bool> {
         .into_iter()
         .chain(traced.as_ref())
         .collect();
-    let attempted = checked + phases.iter().map(|p| p.ops()).sum::<u64>();
-    let failed = check_failed + phases.iter().map(|p| p.failed).sum::<u64>();
+    let attempted = primed + checked + phases.iter().map(|p| p.ops()).sum::<u64>();
+    let failed = prime_failed + check_failed + phases.iter().map(|p| p.failed).sum::<u64>();
     let dropped = traced
         .as_ref()
         .and_then(|p| p.spans.as_ref())
@@ -219,6 +222,18 @@ fn run(args: &Args) -> Result<bool> {
                 p.inserts,
                 p.read_ms.len(),
                 p.insert_ms.len(),
+            );
+            let fmt = |v: &[f64]| {
+                v.iter()
+                    .map(|x| format!("{x:.1}"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            println!(
+                "  {} slices: ops/s [{}]; read p50 ms [{}]",
+                p.slices.ops_per_s.len(),
+                fmt(&p.slices.ops_per_s),
+                fmt(&p.slices.read_p50_ms),
             );
         }
     }

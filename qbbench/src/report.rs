@@ -25,8 +25,8 @@ fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
 
 /// The end-to-end metrics that every workload has, are never 0 and are
 /// gated by a bound: the result line carries exactly these.  `read_p90_ms`
-/// is printed but not gated: on a host with CPU steal its spread over
-/// seeds exceeds any bound the benchmark may set.
+/// is printed but not gated: on a shared host its spread over seeds
+/// exceeds any bound the benchmark may set.
 pub const GATED_END_TO_END: [&str; 6] = [
     "setup_s",
     "ops_per_s",
@@ -42,6 +42,8 @@ fn median_of(setups: &[SetupTimes], f: impl Fn(&SetupTimes) -> f64) -> f64 {
 
 /// All ten end-to-end metrics of the untimed-tracing phase.  `failed`
 /// and `attempted` cover every checked operation of the run.
+/// `ops_per_s` and `read_p50_ms` are medians over the window's slices;
+/// `read_p90_ms` and the insert percentiles cover the whole window.
 pub fn end_to_end(
     setups: &[SetupTimes],
     phase: &Phase,
@@ -52,13 +54,13 @@ pub fn end_to_end(
     let insert = |p: f64| (!phase.insert_ms.is_empty()).then(|| nearest_rank(&phase.insert_ms, p));
     vec![
         metric("setup_s", median_of(setups, |s| s.total_s), "s"),
-        metric("ops_per_s", phase.ops_per_s(), "1/s"),
+        metric("ops_per_s", median(&phase.slices.ops_per_s), "1/s"),
         metric(
             "cpu_us_per_op",
             ratio(phase.cpu_s * 1e6, phase.ops() as f64),
             "us",
         ),
-        metric("read_p50_ms", nearest_rank(&phase.read_ms, 50.0), "ms"),
+        metric("read_p50_ms", median(&phase.slices.read_p50_ms), "ms"),
         metric("read_p90_ms", nearest_rank(&phase.read_ms, 90.0), "ms"),
         Metric {
             name: "insert_p50_ms",
@@ -303,6 +305,7 @@ pub fn table(metrics: &[Metric]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Slices;
 
     #[test]
     fn result_line_is_one_json_object() {
@@ -327,12 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_percentiles_use_nearest_rank() {
+    fn end_to_end_uses_slice_medians_and_nearest_rank() {
         let mut phase = Phase {
             wall_s: 2.0,
             cpu_s: 0.01,
             queries: 20,
             read_ms: (1..=20).map(f64::from).collect(),
+            slices: Slices {
+                ops_per_s: vec![9.0, 30.0, 10.0],
+                read_p50_ms: vec![10.0, 7.0, 12.0, 11.0],
+            },
             ..Phase::default()
         };
         phase.cloud.bytes_uploaded = 300;
@@ -346,7 +353,7 @@ mod tests {
         assert_eq!(m.len(), 10);
         assert_eq!(get("ops_per_s"), Some(10.0));
         assert_eq!(get("cpu_us_per_op"), Some(500.0));
-        assert_eq!(get("read_p50_ms"), Some(10.0));
+        assert_eq!(get("read_p50_ms"), Some(10.5));
         assert_eq!(get("read_p90_ms"), Some(18.0));
         assert_eq!(get("insert_p50_ms"), None);
         assert_eq!(get("wire_bytes_per_query"), Some(50.0));

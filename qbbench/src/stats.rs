@@ -1,5 +1,5 @@
-//! The benchmark's own arithmetic: nearest-rank percentiles, medians and
-//! span self-times.
+//! The benchmark's own arithmetic: nearest-rank percentiles, medians,
+//! per-slice throughput and latency, and span self-times.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -43,6 +43,84 @@ pub fn ratio(part: f64, whole: f64) -> f64 {
 /// Nanoseconds spent per operation, in microseconds.
 pub fn us_per_op(ns: u64, ops: u64) -> f64 {
     ratio(ns as f64 / 1e3, ops as f64)
+}
+
+/// One operation a closed-loop client completed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Done {
+    /// Completion time, seconds from the phase start.
+    pub at_s: f64,
+    /// Operations it completed (point queries of a read call, or 1).
+    pub ops: u64,
+    /// Latency in ms, when it was a read call.
+    pub read_ms: Option<f64>,
+}
+
+/// One closed-loop client's phase: when it started and what it completed,
+/// in completion order.
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    /// Start time, seconds from the phase start.
+    pub start_s: f64,
+    /// Completed operations, in order.
+    pub done: Vec<Done>,
+}
+
+/// Throughput and read latency of each of `slices` equal slices of a
+/// `window_s` window, whose medians are the reported figures: a burst of
+/// load on a shared host skews the few slices it falls in, not the median.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Slices {
+    /// Operations per second in each slice where any client completed
+    /// one.
+    pub ops_per_s: Vec<f64>,
+    /// Nearest-rank p50 of the read calls completed in each slice that
+    /// has one, in ms.
+    pub read_p50_ms: Vec<f64>,
+}
+
+impl Slices {
+    /// Splits `clients`' completions into `slices` slices of `window_s`.
+    /// Completions past the window are left out.
+    ///
+    /// A client's rate in a slice is the operations it completed there
+    /// over the time from its last completion before the slice (or its
+    /// start) to its last completion in it: in a closed loop that is
+    /// exactly the time those operations took, with no rounding to whole
+    /// calls at the slice edges.  The slice's rate sums its clients'.
+    pub fn new(clients: &[Timeline], window_s: f64, slices: usize) -> Slices {
+        let mut out = Slices::default();
+        let width = window_s / slices as f64;
+        for i in 0..slices {
+            let (lo, hi) = (i as f64 * width, (i + 1) as f64 * width);
+            let mut rate = 0.0;
+            let mut any = false;
+            let mut reads = Vec::new();
+            for c in clients {
+                let before = c.done.iter().take_while(|d| d.at_s < lo).last();
+                let inside: Vec<&Done> = c
+                    .done
+                    .iter()
+                    .skip_while(|d| d.at_s < lo)
+                    .take_while(|d| d.at_s < hi)
+                    .collect();
+                let Some(last) = inside.last() else { continue };
+                let from = before.map_or(c.start_s, |d| d.at_s);
+                let ops: u64 = inside.iter().map(|d| d.ops).sum();
+                rate += ratio(ops as f64, last.at_s - from);
+                any = true;
+                reads.extend(inside.iter().filter_map(|d| d.read_ms));
+            }
+            if any {
+                out.ops_per_s.push(rate);
+            }
+            if !reads.is_empty() {
+                reads.sort_by(f64::total_cmp);
+                out.read_p50_ms.push(nearest_rank(&reads, 50.0));
+            }
+        }
+        out
+    }
 }
 
 /// Running per-name self-time totals over successive trace drains.
@@ -141,6 +219,50 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
+    }
+
+    fn done(at_s: f64, ops: u64, read_ms: Option<f64>) -> Done {
+        Done { at_s, ops, read_ms }
+    }
+
+    #[test]
+    fn slices_rate_over_the_time_their_operations_took() {
+        // Slices [0,1) and [1,2).  Client a completes 64-query reads at
+        // 0.5, 0.9 and 1.5 s; client b inserts at 0.2 and 1.2 s and once
+        // more past the window.
+        let a = Timeline {
+            start_s: 0.1,
+            done: vec![
+                done(0.5, 64, Some(400.0)),
+                done(0.9, 64, Some(400.0)),
+                done(1.5, 64, Some(600.0)),
+            ],
+        };
+        let b = Timeline {
+            start_s: 0.0,
+            done: vec![done(0.2, 1, None), done(1.2, 1, None), done(2.5, 1, None)],
+        };
+        let s = Slices::new(&[a, b], 2.0, 2);
+        // Slice 0: a did 128 queries in 0.8 s, b 1 insert in 0.2 s.
+        // Slice 1: a did 64 in 0.6 s (0.9 → 1.5), b 1 in 1.0 s.
+        let want = [128.0 / 0.8 + 1.0 / 0.2, 64.0 / 0.6 + 1.0 / 1.0];
+        assert_eq!(s.ops_per_s.len(), 2);
+        for (got, want) in s.ops_per_s.iter().zip(want) {
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+        assert_eq!(s.read_p50_ms, vec![400.0, 600.0]);
+    }
+
+    #[test]
+    fn slices_without_completions_are_left_out() {
+        let a = Timeline {
+            start_s: 0.0,
+            done: vec![done(0.5, 2, Some(1.0)), done(2.5, 2, None)],
+        };
+        let s = Slices::new(&[a], 3.0, 3);
+        assert_eq!(s.ops_per_s, vec![4.0, 1.0]);
+        assert_eq!(s.read_p50_ms, vec![1.0]);
+        assert_eq!(Slices::new(&[], 1.0, 4), Slices::default());
     }
 
     #[test]
