@@ -8,81 +8,117 @@
 
 //! ## Byte accounting is measured off the wire
 //!
-//! Every owner↔cloud interaction builds the actual [`pds_proto`] message
-//! it represents, encodes it into a wire frame, and charges the **encoded
-//! frame length** (header + payload + CRC trailer) to [`Metrics`] and the
-//! communication clock — not a `size_bytes` estimate.  Each interaction is
-//! also appended to a [`pds_proto::RoundTrip`] log so the event-driven
-//! network simulator ([`crate::BinTransport::Simulated`]) can replay the
-//! exact per-shard traffic.  In debug builds every encoded frame is decoded
-//! back and compared, so the test suite proves the wire format really
-//! carries the traffic it accounts for.
+//! Every owner↔cloud interaction charges the **exact encoded frame
+//! length** (header + payload + CRC trailer) of the [`pds_proto`] message
+//! it represents to [`Metrics`] and the communication clock — not a
+//! `size_bytes` estimate.  The length is computed arithmetically from
+//! borrowed parts (the request, the tuples, the stored ciphertexts) by the
+//! same payload writers that encode frames, run into a byte counter, so no
+//! message is built or encoded to size it.  Each interaction is also
+//! appended to a [`pds_proto::RoundTrip`] log so the event-driven network
+//! simulator ([`crate::BinTransport::Simulated`]) can replay the exact
+//! per-shard traffic.  In debug builds every exchange also builds the owned
+//! message, encodes it, decodes it back and compares, and checks the
+//! computed length against the encoded one, so the test suite proves the
+//! wire format really carries the traffic it accounts for.
+
+use std::iter;
 
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_proto::{
-    msg_tag, Ack, BinPairRequest, BinPayload, FetchBinRequest, InsertRequest, RoundTrip,
-    WireMessage, WireRow,
+    bin_pair_request_len, fetch_bin_request_len, msg_tag, tuples_and_rows_len, Ack, BinPairRequest,
+    BinPayload, FetchBinRequest, InsertRequest, RoundTrip, WireMessage, WireRowRef,
 };
-use pds_storage::{HashIndex, Relation, Tuple};
+use pds_storage::{HashIndex, Predicate, Relation, Tuple};
 
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::store::{EncryptedRow, EncryptedStore};
 use crate::view::AdversarialView;
 
-/// The resolved clear-text side of a composed episode: matching tuples,
-/// their ids, the values they matched, and how many tuples the pushed-down
-/// residual filtered out cloud-side.
-type ResolvedPlain = (Vec<Tuple>, Vec<TupleId>, Vec<Value>, usize);
-
-/// Encodes a message and returns its frame length, round-trip-verifying the
-/// codec in debug builds (the test suite runs unoptimised, so every frame
-/// the simulator accounts for is proven to decode back to its message).
-fn frame_len(msg: &WireMessage) -> usize {
-    let frame = msg.encode().expect("in-range wire message");
-    debug_assert_eq!(
-        &WireMessage::decode(&frame).expect("encoded frame decodes"),
-        msg,
-        "wire frame must roundtrip"
-    );
-    frame.len()
+/// Returns `len`, the frame length computed from borrowed parts.  Debug
+/// builds also build the owned message with `msg`, encode it, and check
+/// that it decodes back to itself and that `len` is its encoded length
+/// (the test suite runs unoptimised, so every frame the simulator
+/// accounts for is proven to roundtrip and to be sized exactly).
+fn frame_len(len: usize, msg: impl FnOnce() -> WireMessage) -> usize {
+    if cfg!(debug_assertions) {
+        let msg = msg();
+        let frame = msg.encode().expect("in-range wire message");
+        assert_eq!(
+            &WireMessage::decode(&frame).expect("encoded frame decodes"),
+            &msg,
+            "wire frame must roundtrip"
+        );
+        assert_eq!(
+            len,
+            frame.len(),
+            "sized frame length must equal the encoded length"
+        );
+    }
+    len
 }
 
 /// One wire frame as the accounting layer sees it: its type tag and its
-/// measured encoded length.
+/// exact encoded length.
 type Frame = (u8, usize);
+
+/// The accounting form of a frame of type `tag` (see [`frame_len`]).
+fn frame(tag: u8, len: usize, msg: impl FnOnce() -> WireMessage) -> Frame {
+    (tag, frame_len(len, msg))
+}
+
+/// An opaque frame with a body of `body_len` bytes whose structure the
+/// protocol does not interpret: its length is the body plus the framing.
+fn opaque_frame(body_len: usize) -> Frame {
+    (msg_tag::OPAQUE, pds_proto::encoded_len(body_len))
+}
+
+/// The [`Ack`] frame acknowledging `items` items.
+fn ack_frame(items: usize) -> Result<Frame> {
+    let ack = WireMessage::Ack(Ack {
+        items: items as u64,
+    });
+    Ok(frame(msg_tag::ACK, ack.encoded_len()?, || ack))
+}
+
+/// A [`BinPayload`] frame carrying `tuples` and `rows`.
+fn payload_frame<'a>(
+    tuples: &[Tuple],
+    rows: impl ExactSizeIterator<Item = WireRowRef<'a>> + Clone,
+) -> Frame {
+    let len = tuples_and_rows_len(tuples, rows.clone());
+    frame(msg_tag::BIN_PAYLOAD, len, || {
+        WireMessage::BinPayload(BinPayload {
+            plain_tuples: tuples.to_vec(),
+            encrypted_rows: rows.map(|r| r.to_wire_row()).collect(),
+        })
+    })
+}
 
 /// The two result streams of one composed bin-pair episode as the cloud
 /// returns them: clear-text non-sensitive tuples and `(address, ciphertext)`
 /// rows from the sensitive side.
 pub type BinPairResult = (Vec<Tuple>, Vec<(TupleId, Ciphertext)>);
 
-/// Builds the accounting form of a message (tag + measured frame length).
-fn frame(msg: &WireMessage) -> Frame {
-    (msg.msg_type(), frame_len(msg))
+/// The wire form of `(address, tuple ciphertext)` results, borrowed: what
+/// every retrieval response carries on the sensitive side.
+pub(crate) fn tuple_ct_rows(
+    rows: &[(TupleId, Ciphertext)],
+) -> impl ExactSizeIterator<Item = WireRowRef<'_>> + Clone {
+    rows.iter()
+        .map(|(id, ct)| WireRowRef::tuple_ct(id.raw(), ct.as_bytes()))
 }
 
-/// The wire form of an [`EncryptedRow`]: ciphertexts become opaque bytes.
-fn wire_row(row: &EncryptedRow) -> WireRow {
-    WireRow {
+/// The wire form of a stored [`EncryptedRow`], borrowed.
+fn wire_row(row: &EncryptedRow) -> WireRowRef<'_> {
+    WireRowRef {
         id: row.id.raw(),
-        attr_ct: row.attr_ct.as_bytes().to_vec(),
-        tuple_ct: row.tuple_ct.as_bytes().to_vec(),
-        search_tags: row.search_tags.clone(),
+        attr_ct: row.attr_ct.as_bytes(),
+        tuple_ct: row.tuple_ct.as_bytes(),
+        search_tags: &row.search_tags,
     }
-}
-
-/// Wire rows for a response that carries only full-tuple ciphertexts.
-fn tuple_ct_rows(out: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
-    out.iter()
-        .map(|(id, ct)| WireRow {
-            id: id.raw(),
-            attr_ct: Vec::new(),
-            tuple_ct: ct.as_bytes().to_vec(),
-            search_tags: Vec::new(),
-        })
-        .collect()
 }
 
 /// The plaintext (non-sensitive) side of the deployment.
@@ -91,6 +127,17 @@ struct PlainSide {
     relation: Relation,
     attr: AttrId,
     index: HashIndex,
+}
+
+impl PlainSide {
+    /// The ids and searchable values of `tuples`, as the adversarial view
+    /// records a clear-text result.
+    fn view_of(&self, tuples: &[Tuple]) -> (Vec<TupleId>, Vec<Value>) {
+        tuples
+            .iter()
+            .map(|t| (t.id, t.value(self.attr).clone()))
+            .unzip()
+    }
 }
 
 /// The simulated untrusted public cloud.
@@ -163,13 +210,17 @@ impl CloudServer {
     pub fn upload_plaintext(&mut self, relation: Relation, searchable_attr: &str) -> Result<()> {
         let attr = relation.schema().attr_id(searchable_attr)?;
         let index = HashIndex::build(&relation, attr);
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: relation.tuples().to_vec(),
-            encrypted_rows: Vec::new(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack {
-            items: relation.len() as u64,
-        }));
+        let up = frame(
+            msg_tag::INSERT_REQUEST,
+            tuples_and_rows_len(relation.tuples(), iter::empty()),
+            || {
+                WireMessage::InsertRequest(InsertRequest {
+                    plain_tuples: relation.tuples().to_vec(),
+                    encrypted_rows: Vec::new(),
+                })
+            },
+        );
+        let down = ack_frame(relation.len())?;
         self.record_exchange(Some(up), Some(down));
         self.plain = Some(PlainSide {
             relation,
@@ -181,13 +232,17 @@ impl CloudServer {
 
     /// Uploads encrypted sensitive rows.
     pub fn upload_encrypted(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: Vec::new(),
-            encrypted_rows: rows.iter().map(wire_row).collect(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack {
-            items: rows.len() as u64,
-        }));
+        let up = frame(
+            msg_tag::INSERT_REQUEST,
+            tuples_and_rows_len(&[], rows.iter().map(wire_row)),
+            || {
+                WireMessage::InsertRequest(InsertRequest {
+                    plain_tuples: Vec::new(),
+                    encrypted_rows: rows.iter().map(|r| wire_row(r).to_wire_row()).collect(),
+                })
+            },
+        );
+        let down = ack_frame(rows.len())?;
         self.record_exchange(Some(up), Some(down));
         self.encrypted.insert_many(rows)
     }
@@ -202,16 +257,21 @@ impl CloudServer {
             .plain
             .as_mut()
             .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
+        let up = frame(
+            msg_tag::INSERT_REQUEST,
+            tuples_and_rows_len(std::slice::from_ref(&tuple), iter::empty()),
+            || {
+                WireMessage::InsertRequest(InsertRequest {
+                    plain_tuples: vec![tuple.clone()],
+                    encrypted_rows: Vec::new(),
+                })
+            },
+        );
+        let down = ack_frame(1)?;
         let value = tuple.value(plain.attr).clone();
-        plain
-            .relation
-            .insert_with_id(tuple.id, tuple.values.clone())?;
-        plain.index.insert(value, tuple.id);
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: vec![tuple],
-            encrypted_rows: Vec::new(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack { items: 1 }));
+        let id = tuple.id;
+        plain.relation.insert_with_id(id, tuple.values)?;
+        plain.index.insert(value, id);
         self.record_exchange(Some(up), Some(down));
         Ok(())
     }
@@ -234,7 +294,7 @@ impl CloudServer {
     /// payload estimate plus the real framing overhead.
     pub fn note_encrypted_request(&mut self, count: usize, bytes: usize) {
         self.view.observe_encrypted_request(count);
-        self.record_exchange(Some((msg_tag::OPAQUE, pds_proto::encoded_len(bytes))), None);
+        self.record_exchange(Some(opaque_frame(bytes)), None);
         self.metrics.round_trips += 1;
     }
 
@@ -255,46 +315,28 @@ impl CloudServer {
     pub fn plain_select_filtered(
         &mut self,
         values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
+        residual: Option<&Predicate>,
     ) -> Result<Vec<Tuple>> {
-        let plain = self
-            .plain
-            .as_ref()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let ids = plain.index.lookup_many(values);
-        let matched: Vec<Tuple> = ids
-            .iter()
-            .filter_map(|&id| plain.relation.get(id).cloned())
-            .collect();
-        let scanned = matched.len();
-        let tuples: Vec<Tuple> = match residual {
-            Some(p) => matched.into_iter().filter(|t| p.matches(t)).collect(),
-            None => matched,
-        };
-        let attr = plain.attr;
+        let up_len = fetch_bin_request_len(values, iter::empty(), &[], residual)?;
+        let up = frame(msg_tag::FETCH_BIN_REQUEST, up_len, || {
+            WireMessage::FetchBinRequest(FetchBinRequest {
+                values: values.to_vec(),
+                predicate: residual.cloned(),
+                ..FetchBinRequest::default()
+            })
+        });
+        let (tuples, scanned) = self.resolve_plain(values, residual)?;
+        let down = payload_frame(&tuples, iter::empty());
 
         // Adversarial view: the request values arrive in clear-text, and the
         // (residual-filtered) matching tuples go back in clear-text.  The
         // request side still names the whole bin, so bin-level anonymity is
         // exactly what it is without pushdown.
         self.view.observe_plaintext_request(values);
-        let returned_ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
-        let returned_values: Vec<Value> = tuples.iter().map(|t| t.value(attr).clone()).collect();
+        let (returned_ids, returned_values) = self.plain_side()?.view_of(&tuples);
         self.view
             .observe_nonsensitive_result(&returned_ids, &returned_values);
 
-        // Metrics: index lookups, measured frame bytes for request and
-        // response.
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: values.to_vec(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: residual.cloned(),
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: tuples.clone(),
-            encrypted_rows: Vec::new(),
-        }));
         self.metrics.plaintext_index_lookups += values.len() as u64;
         self.metrics.plaintext_tuples_scanned += scanned as u64;
         self.metrics.tuples_returned += tuples.len() as u64;
@@ -305,31 +347,25 @@ impl CloudServer {
 
     /// Full scan of the plaintext relation with an arbitrary predicate
     /// (used by baselines that do not exploit the index).
-    pub fn plain_select_scan(&mut self, predicate: &pds_storage::Predicate) -> Result<Vec<Tuple>> {
-        let plain = self
-            .plain
-            .as_ref()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let query = pds_storage::SelectionQuery::new(predicate.clone());
-        let tuples = plain.relation.select(&query);
-        let attr = plain.attr;
-        let ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
-        let returned_values: Vec<Value> = tuples.iter().map(|t| t.value(attr).clone()).collect();
-        self.view
-            .observe_nonsensitive_result(&ids, &returned_values);
+    pub fn plain_select_scan(&mut self, predicate: &Predicate) -> Result<Vec<Tuple>> {
         // The predicate travels in the request frame, so the uplink charge
         // is the real encoded size of the pushed-down selection.
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: Vec::new(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: Some(predicate.clone()),
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: tuples.clone(),
-            encrypted_rows: Vec::new(),
-        }));
-        self.metrics.plaintext_tuples_scanned += plain.relation.len() as u64;
+        let up_len = fetch_bin_request_len(&[], iter::empty(), &[], Some(predicate))?;
+        let up = frame(msg_tag::FETCH_BIN_REQUEST, up_len, || {
+            WireMessage::FetchBinRequest(FetchBinRequest {
+                predicate: Some(predicate.clone()),
+                ..FetchBinRequest::default()
+            })
+        });
+        let plain = self.plain_side()?;
+        let query = pds_storage::SelectionQuery::new(predicate.clone());
+        let tuples = plain.relation.select(&query);
+        let scanned = plain.relation.len();
+        let (ids, returned_values) = plain.view_of(&tuples);
+        self.view
+            .observe_nonsensitive_result(&ids, &returned_values);
+        let down = payload_frame(&tuples, iter::empty());
+        self.metrics.plaintext_tuples_scanned += scanned as u64;
         self.metrics.tuples_returned += tuples.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
@@ -357,19 +393,15 @@ impl CloudServer {
             .iter()
             .map(|r| (r.id, r.attr_ct.clone()))
             .collect();
-        let up = frame(&WireMessage::Opaque(Vec::new()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: out
-                .iter()
-                .map(|(id, ct)| WireRow {
-                    id: id.raw(),
-                    attr_ct: ct.as_bytes().to_vec(),
-                    tuple_ct: Vec::new(),
-                    search_tags: Vec::new(),
-                })
-                .collect(),
-        }));
+        let up = opaque_frame(0);
+        let down = payload_frame(
+            &[],
+            out.iter().map(|(id, ct)| WireRowRef {
+                id: id.raw(),
+                attr_ct: ct.as_bytes(),
+                ..WireRowRef::default()
+            }),
+        );
         self.metrics.encrypted_tuples_scanned += out.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
@@ -380,20 +412,19 @@ impl CloudServer {
     /// what access-pattern leakage reveals, so they enter the adversarial
     /// view as the sensitive side of the episode.
     pub fn fetch_encrypted(&mut self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
+        let raw_ids = ids.iter().map(|id| id.raw());
+        let up_len = fetch_bin_request_len(&[], raw_ids.clone(), &[], None)?;
+        let up = frame(msg_tag::FETCH_BIN_REQUEST, up_len, || {
+            WireMessage::FetchBinRequest(FetchBinRequest {
+                ids: raw_ids.collect(),
+                ..FetchBinRequest::default()
+            })
+        });
         let rows = self.encrypted.fetch(ids)?;
         let out: Vec<(TupleId, Ciphertext)> =
             rows.iter().map(|r| (r.id, r.tuple_ct.clone())).collect();
         self.view.observe_sensitive_result(ids);
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: Vec::new(),
-            ids: ids.iter().map(|id| id.raw()).collect(),
-            tags: Vec::new(),
-            predicate: None,
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
+        let down = payload_frame(&[], tuple_ct_rows(&out));
         self.metrics.tuples_returned += out.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
@@ -411,11 +442,8 @@ impl CloudServer {
             .collect();
         let ids: Vec<TupleId> = out.iter().map(|(id, _)| *id).collect();
         self.view.observe_sensitive_result(&ids);
-        let up = frame(&WireMessage::Opaque(Vec::new()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
+        let up = opaque_frame(0);
+        let down = payload_frame(&[], tuple_ct_rows(&out));
         self.metrics.encrypted_tuples_scanned += out.len() as u64;
         self.metrics.tuples_returned += out.len() as u64;
         self.metrics.round_trips += 1;
@@ -430,10 +458,7 @@ impl CloudServer {
     /// fact that a query arrived.
     pub fn note_oblivious_scan(&mut self, tuples: usize, request_bytes: usize) {
         self.metrics.encrypted_tuples_scanned += tuples as u64;
-        self.record_exchange(
-            Some((msg_tag::OPAQUE, pds_proto::encoded_len(request_bytes))),
-            None,
-        );
+        self.record_exchange(Some(opaque_frame(request_bytes)), None);
         self.metrics.round_trips += 1;
     }
 
@@ -453,16 +478,15 @@ impl CloudServer {
             .collect();
         self.view.observe_encrypted_request(tags.len());
         self.view.observe_sensitive_result(&ids);
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: Vec::new(),
-            ids: Vec::new(),
-            tags: tags.to_vec(),
-            predicate: None,
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
+        // Only a predicate can make sizing fail, and none travels here.
+        let up_len = fetch_bin_request_len(&[], iter::empty(), tags, None).unwrap_or_default();
+        let up = frame(msg_tag::FETCH_BIN_REQUEST, up_len, || {
+            WireMessage::FetchBinRequest(FetchBinRequest {
+                tags: tags.to_vec(),
+                ..FetchBinRequest::default()
+            })
+        });
+        let down = payload_frame(&[], tuple_ct_rows(&out));
         self.metrics.plaintext_index_lookups += tags.len() as u64;
         self.metrics.tuples_returned += out.len() as u64;
         self.metrics.round_trips += 1;
@@ -472,36 +496,41 @@ impl CloudServer {
 
     // ----- composed bin-pair episodes ---------------------------------------
 
-    /// Resolves the clear-text side of a composed bin-pair episode without
-    /// touching metrics or the view (the caller charges the one exchange).
-    /// Empty value sets resolve to an empty result even before outsourcing,
-    /// mirroring the fine-grained path which skips the plaintext sub-query
-    /// entirely in that case.
+    /// The outsourced plaintext side, or the error every clear-text
+    /// operation returns before outsourcing.
+    fn plain_side(&self) -> Result<&PlainSide> {
+        self.plain
+            .as_ref()
+            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))
+    }
+
+    /// Resolves a clear-text `IN` selection without touching metrics or the
+    /// view (the caller charges the exchange): the index finds the matching
+    /// ids, the pushed-down residual filters the borrowed tuples, and only
+    /// the survivors are cloned.  Returns them with the number of tuples
+    /// the index matched.  Empty value sets resolve to an empty result even
+    /// before outsourcing, mirroring the fine-grained path which skips the
+    /// plaintext sub-query entirely in that case.
     fn resolve_plain(
         &self,
         values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
-    ) -> Result<ResolvedPlain> {
+        residual: Option<&Predicate>,
+    ) -> Result<(Vec<Tuple>, usize)> {
         if values.is_empty() {
-            return Ok((Vec::new(), Vec::new(), Vec::new(), 0));
+            return Ok((Vec::new(), 0));
         }
-        let plain = self
-            .plain
-            .as_ref()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let ids = plain.index.lookup_many(values);
-        let matched: Vec<Tuple> = ids
-            .iter()
-            .filter_map(|&id| plain.relation.get(id).cloned())
+        let plain = self.plain_side()?;
+        let mut scanned = 0;
+        let tuples = plain
+            .index
+            .lookup_many(values)
+            .into_iter()
+            .filter_map(|id| plain.relation.get(id))
+            .inspect(|_| scanned += 1)
+            .filter(|t| residual.map_or(true, |p| p.matches(t)))
+            .cloned()
             .collect();
-        let scanned = matched.len();
-        let tuples: Vec<Tuple> = match residual {
-            Some(p) => matched.into_iter().filter(|t| p.matches(t)).collect(),
-            None => matched,
-        };
-        let ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
-        let returned: Vec<Value> = tuples.iter().map(|t| t.value(plain.attr).clone()).collect();
-        Ok((tuples, ids, returned, scanned))
+        Ok((tuples, scanned))
     }
 
     /// Serves one **composed** Query Binning episode in a single round
@@ -513,7 +542,7 @@ impl CloudServer {
     /// what makes the composed path strictly cheaper in rounds than the
     /// fine-grained multi-message episode.
     pub fn bin_pair_by_tags(&mut self, request: &BinPairRequest) -> Result<BinPairResult> {
-        let (plain_tuples, ns_ids, ns_values, ns_scanned) =
+        let (plain_tuples, ns_scanned) =
             self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
 
         // Sensitive side: match the opaque tokens against the tag index,
@@ -529,15 +558,7 @@ impl CloudServer {
             .filter_map(|&id| self.encrypted.get(id).map(|r| (r.id, r.tuple_ct.clone())))
             .collect();
 
-        self.record_bin_pair_exchange(
-            request,
-            &plain_tuples,
-            ns_scanned,
-            &ns_ids,
-            &ns_values,
-            &ids,
-            &rows,
-        );
+        self.record_bin_pair_exchange(request, &plain_tuples, ns_scanned, &ids, &rows)?;
         self.metrics.plaintext_index_lookups += request.encrypted_values.len() as u64;
         Ok((plain_tuples, rows))
     }
@@ -554,53 +575,50 @@ impl CloudServer {
         matching: &[TupleId],
         scanned: usize,
     ) -> Result<BinPairResult> {
-        let (plain_tuples, ns_ids, ns_values, ns_scanned) =
+        let (plain_tuples, ns_scanned) =
             self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
         let fetched = self.encrypted.fetch(matching)?;
         let rows: Vec<(TupleId, Ciphertext)> =
             fetched.iter().map(|r| (r.id, r.tuple_ct.clone())).collect();
-        self.record_bin_pair_exchange(
-            request,
-            &plain_tuples,
-            ns_scanned,
-            &ns_ids,
-            &ns_values,
-            matching,
-            &rows,
-        );
+        self.record_bin_pair_exchange(request, &plain_tuples, ns_scanned, matching, &rows)?;
         self.metrics.encrypted_tuples_scanned += scanned as u64;
         Ok((plain_tuples, rows))
     }
 
     /// Shared accounting of one composed episode: adversarial view, work
     /// counters, and the single request/response exchange off the wire.
-    #[allow(clippy::too_many_arguments)]
     fn record_bin_pair_exchange(
         &mut self,
         request: &BinPairRequest,
         plain_tuples: &[Tuple],
         ns_scanned: usize,
-        ns_ids: &[TupleId],
-        ns_values: &[Value],
         sensitive_ids: &[TupleId],
         rows: &[(TupleId, Ciphertext)],
-    ) {
+    ) -> Result<()> {
+        let up = frame(
+            msg_tag::BIN_PAIR_REQUEST,
+            bin_pair_request_len(request)?,
+            || WireMessage::BinPairRequest(request.clone()),
+        );
+        let down = payload_frame(plain_tuples, tuple_ct_rows(rows));
+        // Without a plaintext side the clear-text result is empty.
+        let (ns_ids, ns_values) = self
+            .plain
+            .as_ref()
+            .map(|p| p.view_of(plain_tuples))
+            .unwrap_or_default();
         self.view
             .observe_plaintext_request(&request.nonsensitive_values);
         self.view
             .observe_encrypted_request(request.encrypted_values.len());
-        self.view.observe_nonsensitive_result(ns_ids, ns_values);
+        self.view.observe_nonsensitive_result(&ns_ids, &ns_values);
         self.view.observe_sensitive_result(sensitive_ids);
-        let up = frame(&WireMessage::BinPairRequest(request.clone()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: plain_tuples.to_vec(),
-            encrypted_rows: tuple_ct_rows(rows),
-        }));
         self.metrics.plaintext_index_lookups += request.nonsensitive_values.len() as u64;
         self.metrics.plaintext_tuples_scanned += ns_scanned as u64;
         self.metrics.tuples_returned += (plain_tuples.len() + rows.len()) as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
+        Ok(())
     }
 
     /// Number of encrypted rows stored.
@@ -918,6 +936,61 @@ mod tests {
         assert_eq!(d.frames_of_type(msg_tag::OPAQUE), 1);
         assert_eq!(d.frames_of_type(msg_tag::BIN_PAIR_REQUEST), 0);
         assert_eq!(d.wire_frames_by_type.iter().sum::<u64>(), d.wire_frames);
+    }
+
+    #[test]
+    fn accounting_takes_no_pool_buffer() {
+        // Sizing runs the payload writers into a byte counter: a composed
+        // episode and a filtered clear-text fetch charge their frames
+        // without encoding one, so the codec's buffer pool is untouched.
+        let mut s = server();
+        let residual = Predicate::Eq {
+            attr: AttrId::new(1),
+            value: Value::from("Design"),
+        };
+        let before = pds_proto::thread_pool_stats();
+        let bytes_before = s.metrics().bytes_uploaded + s.metrics().bytes_downloaded;
+        s.bin_pair_by_tags(&BinPairRequest {
+            sensitive_bin: 0,
+            nonsensitive_bin: 0,
+            encrypted_values: vec![vec![0u8], vec![2u8]],
+            nonsensitive_values: vec![Value::from("E259"), Value::from("E254")],
+            predicate: Some(residual.clone()),
+        })
+        .unwrap();
+        let tuples = s
+            .plain_select_filtered(&[Value::from("E199")], Some(&residual))
+            .unwrap();
+        assert_eq!(tuples.len(), 1);
+        assert_eq!(pds_proto::thread_pool_stats(), before);
+        assert!(s.metrics().bytes_uploaded + s.metrics().bytes_downloaded > bytes_before);
+    }
+
+    #[test]
+    fn over_deep_residual_is_refused_before_any_state_moves() {
+        let mut s = server();
+        let mut tower = Predicate::True;
+        for _ in 0..pds_proto::PREDICATE_DEPTH_CAP {
+            tower = Predicate::Not(Box::new(tower));
+        }
+        let before = *s.metrics();
+        let episodes = s.adversarial_view().episodes().len();
+        s.begin_query();
+        assert!(s
+            .plain_select_filtered(&[Value::from("E259")], Some(&tower))
+            .is_err());
+        assert!(s
+            .bin_pair_by_tags(&BinPairRequest {
+                nonsensitive_values: vec![Value::from("E259")],
+                predicate: Some(tower),
+                ..BinPairRequest::default()
+            })
+            .is_err());
+        s.end_query();
+        assert_eq!(*s.metrics(), before);
+        let ep = &s.adversarial_view().episodes()[episodes];
+        assert!(ep.plaintext_request.is_empty());
+        assert!(ep.nonsensitive_returned.is_empty());
     }
 
     #[test]

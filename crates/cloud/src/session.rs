@@ -30,10 +30,10 @@
 
 use pds_common::{PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
-use pds_proto::{error_frame, Ack, BinPairRequest, BinPayload, WireMessage, WireRow};
+use pds_proto::{error_frame, Ack, BinPairRequest, BinPayload, WireMessage};
 use pds_storage::{Predicate, Tuple};
 
-use crate::server::{BinPairResult, CloudServer};
+use crate::server::{tuple_ct_rows, BinPairResult, CloudServer};
 use crate::store::EncryptedRow;
 
 /// One Query Binning bin-pair episode as the executor hands it to a
@@ -216,14 +216,16 @@ impl<'a> CloudSession<'a> {
                 }
                 if !req.ids.is_empty() {
                     let ids: Vec<TupleId> = req.ids.iter().map(|&id| TupleId::new(id)).collect();
+                    let rows = self.server.fetch_encrypted(&ids)?;
                     payload
                         .encrypted_rows
-                        .extend(rows_to_wire(&self.server.fetch_encrypted(&ids)?));
+                        .extend(tuple_ct_rows(&rows).map(|r| r.to_wire_row()));
                 }
                 if !req.tags.is_empty() {
+                    let rows = self.server.tag_select(&req.tags);
                     payload
                         .encrypted_rows
-                        .extend(rows_to_wire(&self.server.tag_select(&req.tags)));
+                        .extend(tuple_ct_rows(&rows).map(|r| r.to_wire_row()));
                 }
                 Ok(WireMessage::BinPayload(payload))
             }
@@ -238,7 +240,7 @@ impl<'a> CloudSession<'a> {
                 let (plain_tuples, rows) = self.server.bin_pair_by_tags(req)?;
                 Ok(WireMessage::BinPayload(BinPayload {
                     plain_tuples,
-                    encrypted_rows: rows_to_wire(&rows),
+                    encrypted_rows: tuple_ct_rows(&rows).map(|r| r.to_wire_row()).collect(),
                 }))
             }
             WireMessage::InsertRequest(req) => {
@@ -360,24 +362,12 @@ impl EpisodeChannel for CloudSession<'_> {
     }
 }
 
-/// Converts `(id, tuple ciphertext)` results to their wire rows.
-fn rows_to_wire(rows: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
-    rows.iter()
-        .map(|(id, ct)| WireRow {
-            id: id.raw(),
-            attr_ct: Vec::new(),
-            tuple_ct: ct.as_bytes().to_vec(),
-            search_tags: Vec::new(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::NetworkModel;
     use pds_crypto::NonDetCipher;
-    use pds_proto::FetchBinRequest;
+    use pds_proto::{FetchBinRequest, WireRow};
     use pds_storage::{DataType, Relation, Schema};
 
     fn server() -> CloudServer {

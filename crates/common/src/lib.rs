@@ -16,9 +16,11 @@ pub mod error;
 pub mod ids;
 pub mod lockcheck;
 pub mod rng;
+pub mod sink;
 pub mod value;
 
 pub use error::{PdsError, Result};
 pub use ids::{AttrId, BinId, QueryId, TupleId};
 pub use lockcheck::{OrderedGuard, OrderedMutex};
+pub use sink::{ByteCounter, ByteSink};
 pub use value::{Domain, Value};

@@ -13,6 +13,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::sink::ByteSink;
+
 /// A single attribute value.
 ///
 /// The variants cover what the paper's experiments need: integer keys
@@ -78,27 +80,32 @@ impl Value {
     /// non-deterministic encryption and to deterministic tags/PRFs, so
     /// injectivity matters for correctness of equality search.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + self.size_bytes());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Writes [`Value::encode`]'s bytes into `out` — straight into a wire
+    /// frame, or into a [`ByteCounter`](crate::ByteCounter) to size one.
+    pub fn encode_into<S: ByteSink>(&self, out: &mut S) {
         match self {
-            Value::Null => vec![0u8],
+            Value::Null => out.put_u8(0),
             Value::Int(v) => {
-                let mut out = Vec::with_capacity(9);
-                out.push(1u8);
-                out.extend_from_slice(&v.to_be_bytes());
-                out
+                out.put_u8(1);
+                out.put(&v.to_be_bytes());
             }
             Value::Text(s) => {
-                let mut out = Vec::with_capacity(1 + s.len());
-                out.push(2u8);
-                out.extend_from_slice(s.as_bytes());
-                out
+                out.put_u8(2);
+                out.put(s.as_bytes());
             }
             Value::Bytes(b) => {
-                let mut out = Vec::with_capacity(1 + b.len());
-                out.push(3u8);
-                out.extend_from_slice(b);
-                out
+                out.put_u8(3);
+                out.put(b);
             }
-            Value::Bool(b) => vec![4u8, u8::from(*b)],
+            Value::Bool(b) => {
+                out.put_u8(4);
+                out.put_u8(u8::from(*b));
+            }
         }
     }
 

@@ -17,7 +17,10 @@
 //!   engine-specific token sets).  `pds-cloud` encodes the *actual* traffic
 //!   of every owner↔cloud interaction through these and charges the
 //!   encoded frame lengths to its metrics, so bytes moved are measured off
-//!   the wire.
+//!   the wire.  The payload writers run over a `pds_common::ByteSink`, so
+//!   the same code that encodes a frame also sizes it from borrowed parts
+//!   ([`fetch_bin_request_len`], [`bin_pair_request_len`],
+//!   [`tuples_and_rows_len`]) without building or encoding it.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
@@ -45,8 +48,9 @@ pub use frame::{
     TRAILER_LEN, VERSION, VERSION_V1,
 };
 pub use messages::{
-    error_frame, msg_tag, Ack, BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello,
-    InsertRequest, WireMessage, WireRow,
+    bin_pair_request_len, error_frame, fetch_bin_request_len, msg_tag, tuples_and_rows_len, Ack,
+    BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest, WireMessage,
+    WireRow, WireRowRef, PREDICATE_DEPTH_CAP,
 };
 pub use netsim::{LinkSpec, NetSim, RoundTrip, SimReport};
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

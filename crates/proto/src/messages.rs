@@ -12,10 +12,12 @@
 //! already rejects corrupted-in-flight bytes; the payload decoders defend
 //! against malformed-but-checksummed input (a buggy or malicious peer).
 
-use pds_common::{AttrId, PdsError, Result, Value};
+use pds_common::{AttrId, ByteCounter, ByteSink, PdsError, Result, Value};
 use pds_storage::{Predicate, Tuple};
 
-use crate::frame::{be_u32, be_u64, begin_frame, decode_frame_corr, finish_frame};
+use crate::frame::{
+    be_u32, be_u64, begin_frame, check_payload_len, decode_frame_corr, encoded_len, finish_frame,
+};
 use crate::pool::{self, PooledBuf};
 
 /// One encrypted row as it travels over the wire.
@@ -37,13 +39,13 @@ pub struct WireRow {
 }
 
 impl WireRow {
-    fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_be_bytes());
-        write_bytes(out, &self.attr_ct);
-        write_bytes(out, &self.tuple_ct);
-        write_u32(out, self.search_tags.len() as u32);
-        for tag in &self.search_tags {
-            write_bytes(out, tag);
+    /// A borrowed view of this row, as the payload writers take it.
+    pub fn as_row_ref(&self) -> WireRowRef<'_> {
+        WireRowRef {
+            id: self.id,
+            attr_ct: &self.attr_ct,
+            tuple_ct: &self.tuple_ct,
+            search_tags: &self.search_tags,
         }
     }
 
@@ -62,6 +64,52 @@ impl WireRow {
             tuple_ct,
             search_tags,
         })
+    }
+}
+
+/// A [`WireRow`] whose ciphertexts are borrowed: what the cloud writes or
+/// sizes straight from its store, without copying a ciphertext.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WireRowRef<'a> {
+    /// Storage address / tuple id.
+    pub id: u64,
+    /// Ciphertext of the searchable attribute value (may be empty).
+    pub attr_ct: &'a [u8],
+    /// Ciphertext of the full tuple (may be empty).
+    pub tuple_ct: &'a [u8],
+    /// Cloud-side searchable tags.
+    pub search_tags: &'a [Vec<u8>],
+}
+
+impl WireRowRef<'_> {
+    /// A row carrying only a full-tuple ciphertext — the form every
+    /// retrieval response uses.
+    pub fn tuple_ct(id: u64, tuple_ct: &[u8]) -> WireRowRef<'_> {
+        WireRowRef {
+            id,
+            tuple_ct,
+            ..WireRowRef::default()
+        }
+    }
+
+    /// Copies the borrowed fields into an owned [`WireRow`].
+    pub fn to_wire_row(&self) -> WireRow {
+        WireRow {
+            id: self.id,
+            attr_ct: self.attr_ct.to_vec(),
+            tuple_ct: self.tuple_ct.to_vec(),
+            search_tags: self.search_tags.to_vec(),
+        }
+    }
+
+    fn write<S: ByteSink>(&self, out: &mut S) {
+        out.put_u64(self.id);
+        out.put_bytes(self.attr_ct);
+        out.put_bytes(self.tuple_ct);
+        out.put_u32(self.search_tags.len() as u32);
+        for tag in self.search_tags {
+            out.put_bytes(tag);
+        }
     }
 }
 
@@ -278,9 +326,13 @@ impl WireMessage {
     }
 
     /// Encodes the message into one complete wire frame
-    /// (header + payload + CRC trailer) with correlation id 0.
+    /// (header + payload + CRC trailer) with correlation id 0, in a `Vec`
+    /// of its own: the buffer pool is left alone, since the caller keeps
+    /// the bytes.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        self.encode_framed(0).map(PooledBuf::into_vec)
+        let mut frame = Vec::new();
+        self.write_frame(&mut frame, 0)?;
+        Ok(frame)
     }
 
     /// Encodes the message into one complete wire frame carrying `corr`,
@@ -289,83 +341,61 @@ impl WireMessage {
     /// allocations.  Dropping the returned buffer (e.g. after the bytes
     /// are on the socket) returns it to the pool.
     pub fn encode_framed(&self, corr: u64) -> Result<PooledBuf> {
-        let _span = pds_obs::obs_span("frame.encode");
         let mut frame = pool::take_buf();
-        begin_frame(&mut frame, self.msg_type(), corr);
-        self.write_payload(&mut frame)?;
-        finish_frame(&mut frame)?;
+        self.write_frame(&mut frame, corr)?;
         Ok(frame)
     }
 
-    /// Appends this message's payload encoding to `payload` (which already
-    /// holds the frame header when called from [`Self::encode_framed`]).
-    fn write_payload(&self, payload: &mut Vec<u8>) -> Result<()> {
+    fn write_frame(&self, frame: &mut Vec<u8>, corr: u64) -> Result<()> {
+        let _span = pds_obs::obs_span("frame.encode");
+        begin_frame(frame, self.msg_type(), corr);
+        self.write_payload(frame)?;
+        finish_frame(frame)
+    }
+
+    /// The exact encoded frame length of this message — what
+    /// [`Self::encode`] would return the length of, errors included —
+    /// computed by running the payload writer into a [`ByteCounter`].
+    pub fn encoded_len(&self) -> Result<usize> {
+        let mut count = ByteCounter::default();
+        self.write_payload(&mut count)?;
+        check_payload_len(count.0)?;
+        Ok(encoded_len(count.0))
+    }
+
+    /// Writes this message's payload encoding into `out`: after the frame
+    /// header when encoding, into a [`ByteCounter`] when sizing.
+    fn write_payload<S: ByteSink>(&self, out: &mut S) -> Result<()> {
         match self {
-            WireMessage::FetchBinRequest(m) => {
-                write_u32(payload, m.values.len() as u32);
-                for v in &m.values {
-                    write_bytes(payload, &v.encode());
-                }
-                write_u32(payload, m.ids.len() as u32);
-                for id in &m.ids {
-                    payload.extend_from_slice(&id.to_be_bytes());
-                }
-                write_u32(payload, m.tags.len() as u32);
-                for tag in &m.tags {
-                    write_bytes(payload, tag);
-                }
-                write_opt_predicate(payload, m.predicate.as_ref())?;
-            }
-            WireMessage::BinPairRequest(m) => {
-                write_u32(payload, m.sensitive_bin);
-                write_u32(payload, m.nonsensitive_bin);
-                write_u32(payload, m.encrypted_values.len() as u32);
-                for ev in &m.encrypted_values {
-                    write_bytes(payload, ev);
-                }
-                write_u32(payload, m.nonsensitive_values.len() as u32);
-                for v in &m.nonsensitive_values {
-                    write_bytes(payload, &v.encode());
-                }
-                write_opt_predicate(payload, m.predicate.as_ref())?;
-            }
-            WireMessage::BinPayload(m) => {
-                write_u32(payload, m.plain_tuples.len() as u32);
-                for t in &m.plain_tuples {
-                    write_bytes(payload, &t.encode());
-                }
-                write_u32(payload, m.encrypted_rows.len() as u32);
-                for row in &m.encrypted_rows {
-                    row.write(payload);
-                }
-            }
-            WireMessage::InsertRequest(m) => {
-                write_u32(payload, m.plain_tuples.len() as u32);
-                for t in &m.plain_tuples {
-                    write_bytes(payload, &t.encode());
-                }
-                write_u32(payload, m.encrypted_rows.len() as u32);
-                for row in &m.encrypted_rows {
-                    row.write(payload);
-                }
-            }
-            WireMessage::Ack(m) => {
-                payload.extend_from_slice(&m.items.to_be_bytes());
-            }
+            WireMessage::FetchBinRequest(m) => write_fetch_bin(
+                out,
+                &m.values,
+                m.ids.iter().copied(),
+                &m.tags,
+                m.predicate.as_ref(),
+            )?,
+            WireMessage::BinPairRequest(m) => write_bin_pair(out, m)?,
+            WireMessage::BinPayload(BinPayload {
+                plain_tuples,
+                encrypted_rows,
+            })
+            | WireMessage::InsertRequest(InsertRequest {
+                plain_tuples,
+                encrypted_rows,
+            }) => write_tuples_and_rows(
+                out,
+                plain_tuples,
+                encrypted_rows.iter().map(WireRow::as_row_ref),
+            ),
+            WireMessage::Ack(m) => out.put_u64(m.items),
             WireMessage::Error(m) => {
-                write_bytes(payload, m.category.as_bytes());
-                write_bytes(payload, m.message.as_bytes());
+                out.put_bytes(m.category.as_bytes());
+                out.put_bytes(m.message.as_bytes());
             }
-            WireMessage::Opaque(body) => {
-                payload.extend_from_slice(body);
-            }
-            WireMessage::Hello(m) => {
-                payload.extend_from_slice(&m.tenant.to_be_bytes());
-            }
+            WireMessage::Opaque(body) => out.put(body),
+            WireMessage::Hello(m) => out.put_u64(m.tenant),
             WireMessage::StatsRequest => {}
-            WireMessage::StatsSnapshot(text) => {
-                write_bytes(payload, text.as_bytes());
-            }
+            WireMessage::StatsSnapshot(text) => out.put_bytes(text.as_bytes()),
         }
         Ok(())
     }
@@ -460,11 +490,6 @@ impl WireMessage {
         r.finish()?;
         Ok((corr, msg))
     }
-
-    /// Convenience: the encoded frame length of this message in bytes.
-    pub fn encoded_len(&self) -> Result<usize> {
-        Ok(self.encode()?.len())
-    }
 }
 
 /// Builds the wire form of a [`PdsError`].
@@ -472,6 +497,103 @@ pub fn error_frame(err: &PdsError) -> ErrorFrame {
     ErrorFrame {
         category: err.category().to_string(),
         message: err.message().to_string(),
+    }
+}
+
+// Frame lengths from borrowed parts.  Each runs the payload writer that
+// encodes the message into a `ByteCounter`, so it equals the length of the
+// built message's encoding by construction.  Unlike `WireMessage::encoded_len`
+// they do not refuse payloads above `MAX_PAYLOAD_LEN`: they size what would
+// travel, and only an over-deep predicate is an error.
+
+/// The frame length of a [`FetchBinRequest`] with these fields, computed
+/// without building or encoding it.
+pub fn fetch_bin_request_len(
+    values: &[Value],
+    ids: impl ExactSizeIterator<Item = u64>,
+    tags: &[Vec<u8>],
+    predicate: Option<&Predicate>,
+) -> Result<usize> {
+    let mut count = ByteCounter::default();
+    write_fetch_bin(&mut count, values, ids, tags, predicate)?;
+    Ok(encoded_len(count.0))
+}
+
+/// The frame length of `request`, computed without encoding it.
+pub fn bin_pair_request_len(request: &BinPairRequest) -> Result<usize> {
+    let mut count = ByteCounter::default();
+    write_bin_pair(&mut count, request)?;
+    Ok(encoded_len(count.0))
+}
+
+/// The frame length of a [`BinPayload`] or an [`InsertRequest`] (the two
+/// share a layout) carrying `tuples` and `rows`, computed without building
+/// or encoding the message.
+pub fn tuples_and_rows_len<'a>(
+    tuples: &[Tuple],
+    rows: impl ExactSizeIterator<Item = WireRowRef<'a>>,
+) -> usize {
+    let mut count = ByteCounter::default();
+    write_tuples_and_rows(&mut count, tuples, rows);
+    encoded_len(count.0)
+}
+
+fn write_fetch_bin<S: ByteSink>(
+    out: &mut S,
+    values: &[Value],
+    ids: impl ExactSizeIterator<Item = u64>,
+    tags: &[Vec<u8>],
+    predicate: Option<&Predicate>,
+) -> Result<()> {
+    write_values(out, values);
+    out.put_u32(ids.len() as u32);
+    for id in ids {
+        out.put_u64(id);
+    }
+    write_blobs(out, tags);
+    write_opt_predicate(out, predicate)
+}
+
+fn write_bin_pair<S: ByteSink>(out: &mut S, m: &BinPairRequest) -> Result<()> {
+    out.put_u32(m.sensitive_bin);
+    out.put_u32(m.nonsensitive_bin);
+    write_blobs(out, &m.encrypted_values);
+    write_values(out, &m.nonsensitive_values);
+    write_opt_predicate(out, m.predicate.as_ref())
+}
+
+fn write_tuples_and_rows<'a, S: ByteSink>(
+    out: &mut S,
+    tuples: &[Tuple],
+    rows: impl ExactSizeIterator<Item = WireRowRef<'a>>,
+) {
+    out.put_u32(tuples.len() as u32);
+    for t in tuples {
+        out.put_len_prefixed(|out| t.encode_into(out));
+    }
+    out.put_u32(rows.len() as u32);
+    for row in rows {
+        row.write(out);
+    }
+}
+
+/// A count followed by each value's length-prefixed encoding.
+fn write_values<S: ByteSink>(out: &mut S, values: &[Value]) {
+    out.put_u32(values.len() as u32);
+    for v in values {
+        write_value(out, v);
+    }
+}
+
+fn write_value<S: ByteSink>(out: &mut S, v: &Value) {
+    out.put_len_prefixed(|out| v.encode_into(out));
+}
+
+/// A count followed by each length-prefixed byte string.
+fn write_blobs<S: ByteSink>(out: &mut S, blobs: &[Vec<u8>]) {
+    out.put_u32(blobs.len() as u32);
+    for b in blobs {
+        out.put_bytes(b);
     }
 }
 
@@ -498,7 +620,7 @@ const PREALLOC_CAP: usize = 1024;
 /// against adversarial deeply-nested `Not(Not(Not(..)))` payloads.  The
 /// same cap is enforced on encode so both directions agree on what is
 /// representable.
-const PREDICATE_DEPTH_CAP: usize = 16;
+pub const PREDICATE_DEPTH_CAP: usize = 16;
 
 /// One-byte structure tags of the predicate encoding (distinct from the
 /// frame-level `msg_tag`s; these only appear inside a request payload).
@@ -516,20 +638,20 @@ mod pred_tag {
 /// recursive tagged encoding.  Predicates travel in clear by design — they
 /// may only reference non-sensitive attributes (the planner enforces this
 /// owner-side; `pds-analyze`'s egress lint watches the call sites).
-pub fn write_opt_predicate(out: &mut Vec<u8>, p: Option<&Predicate>) -> Result<()> {
+pub fn write_opt_predicate<S: ByteSink>(out: &mut S, p: Option<&Predicate>) -> Result<()> {
     match p {
         None => {
-            out.push(0);
+            out.put_u8(0);
             Ok(())
         }
         Some(p) => {
-            out.push(1);
+            out.put_u8(1);
             write_predicate(out, p, 0)
         }
     }
 }
 
-fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()> {
+fn write_predicate<S: ByteSink>(out: &mut S, p: &Predicate, depth: usize) -> Result<()> {
     if depth >= PREDICATE_DEPTH_CAP {
         return Err(PdsError::Wire(format!(
             "predicate nesting exceeds the wire depth cap of {PREDICATE_DEPTH_CAP}"
@@ -537,40 +659,37 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
     }
     match p {
         Predicate::Eq { attr, value } => {
-            out.push(pred_tag::EQ);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_bytes(out, &value.encode());
+            out.put_u8(pred_tag::EQ);
+            out.put_u64(attr.raw());
+            write_value(out, value);
         }
         Predicate::InSet { attr, values } => {
-            out.push(pred_tag::IN_SET);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_u32(out, values.len() as u32);
-            for v in values {
-                write_bytes(out, &v.encode());
-            }
+            out.put_u8(pred_tag::IN_SET);
+            out.put_u64(attr.raw());
+            write_values(out, values);
         }
         Predicate::Range { attr, lo, hi } => {
-            out.push(pred_tag::RANGE);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_bytes(out, &lo.encode());
-            write_bytes(out, &hi.encode());
+            out.put_u8(pred_tag::RANGE);
+            out.put_u64(attr.raw());
+            write_value(out, lo);
+            write_value(out, hi);
         }
         Predicate::And(ps) | Predicate::Or(ps) => {
-            out.push(if matches!(p, Predicate::And(_)) {
+            out.put_u8(if matches!(p, Predicate::And(_)) {
                 pred_tag::AND
             } else {
                 pred_tag::OR
             });
-            write_u32(out, ps.len() as u32);
+            out.put_u32(ps.len() as u32);
             for child in ps {
                 write_predicate(out, child, depth + 1)?;
             }
         }
         Predicate::Not(child) => {
-            out.push(pred_tag::NOT);
+            out.put_u8(pred_tag::NOT);
             write_predicate(out, child, depth + 1)?;
         }
-        Predicate::True => out.push(pred_tag::TRUE),
+        Predicate::True => out.put_u8(pred_tag::TRUE),
     }
     Ok(())
 }
@@ -629,15 +748,6 @@ fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
             "unknown predicate structure tag {other}"
         ))),
     }
-}
-
-fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    write_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
 }
 
 /// Bounds-checked sequential reader over a message payload.
@@ -915,9 +1025,9 @@ mod tests {
         // ...and a hand-forged payload of NOT tags must fail to decode
         // before recursing past the cap.
         let mut payload = Vec::new();
-        write_u32(&mut payload, 0); // values
-        write_u32(&mut payload, 0); // ids
-        write_u32(&mut payload, 0); // tags
+        payload.put_u32(0); // values
+        payload.put_u32(0); // ids
+        payload.put_u32(0); // tags
         payload.push(1); // predicate present
         payload.extend(std::iter::repeat(pred_tag::NOT).take(64));
         payload.push(pred_tag::TRUE);
@@ -928,9 +1038,9 @@ mod tests {
     #[test]
     fn invalid_predicate_presence_byte_is_an_error() {
         let mut payload = Vec::new();
-        write_u32(&mut payload, 0);
-        write_u32(&mut payload, 0);
-        write_u32(&mut payload, 0);
+        payload.put_u32(0);
+        payload.put_u32(0);
+        payload.put_u32(0);
         payload.push(9); // neither 0 nor 1
         let frame = crate::frame::encode_frame(msg_tag::FETCH_BIN_REQUEST, &payload).unwrap();
         assert!(WireMessage::decode(&frame).is_err());

@@ -1,15 +1,17 @@
 //! Property tests for the wire protocol: `decode ∘ encode == id` for every
-//! message type, and fuzzed truncation/corruption always yields
+//! message type, every way of sizing a frame equals the length of its
+//! encoding, and fuzzed truncation/corruption always yields
 //! `Err(PdsError::Wire)` — never a panic.
 //!
 //! Seeding rides the workspace's deterministic proptest machinery
 //! (`PROPTEST_SEED` / `PROPTEST_CASES`, regressions recorded under
 //! `proptest-regressions/`).
 
-use pds_common::{PdsError, TupleId, Value};
+use pds_common::{ByteCounter, PdsError, TupleId, Value};
 use pds_proto::{
-    Ack, BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest,
-    WireMessage, WireRow,
+    bin_pair_request_len, fetch_bin_request_len, tuples_and_rows_len, Ack, BinPairRequest,
+    BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest, WireMessage, WireRow,
+    PREDICATE_DEPTH_CAP,
 };
 use pds_storage::{Predicate, Tuple};
 use proptest::prelude::*;
@@ -103,7 +105,7 @@ fn arb_row<R: Rng>(rng: &mut R) -> WireRow {
 /// One random message of a random type, driven by the proptest case seed.
 fn arb_message(seed: u64) -> WireMessage {
     let mut rng = pds_common::rng::seeded_rng(seed);
-    match rng.gen_range(0u8..8) {
+    match rng.gen_range(0u8..10) {
         0 => WireMessage::FetchBinRequest(FetchBinRequest {
             values: (0..rng.gen_range(0usize..6))
                 .map(|_| arb_value(&mut rng))
@@ -156,9 +158,146 @@ fn arb_message(seed: u64) -> WireMessage {
             })
         }
         6 => WireMessage::Opaque(arb_blob(&mut rng, 100)),
-        _ => WireMessage::Hello(Hello {
+        7 => WireMessage::Hello(Hello {
             tenant: rng.gen_range(0u64..u64::MAX),
         }),
+        8 => WireMessage::StatsRequest,
+        _ => {
+            let len = rng.gen_range(0usize..80);
+            WireMessage::StatsSnapshot(
+                (0..len)
+                    .map(|_| char::from(rng.gen_range(0x20u8..0x7f)))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// Every message type with every collection empty and every option unset.
+fn empty_messages() -> Vec<WireMessage> {
+    vec![
+        WireMessage::FetchBinRequest(FetchBinRequest::default()),
+        WireMessage::BinPairRequest(BinPairRequest::default()),
+        WireMessage::BinPayload(BinPayload::default()),
+        WireMessage::InsertRequest(InsertRequest::default()),
+        WireMessage::Ack(Ack::default()),
+        WireMessage::Error(ErrorFrame::default()),
+        WireMessage::Opaque(Vec::new()),
+        WireMessage::Hello(Hello::default()),
+        WireMessage::StatsRequest,
+        WireMessage::StatsSnapshot(String::new()),
+    ]
+}
+
+/// The frame length the borrowed-parts sizing function of `msg`'s type
+/// computes, for the types the cloud sizes that way.
+fn sized_from_parts(msg: &WireMessage) -> Option<pds_common::Result<usize>> {
+    match msg {
+        WireMessage::FetchBinRequest(m) => Some(fetch_bin_request_len(
+            &m.values,
+            m.ids.iter().copied(),
+            &m.tags,
+            m.predicate.as_ref(),
+        )),
+        WireMessage::BinPairRequest(m) => Some(bin_pair_request_len(m)),
+        WireMessage::BinPayload(BinPayload {
+            plain_tuples,
+            encrypted_rows,
+        })
+        | WireMessage::InsertRequest(InsertRequest {
+            plain_tuples,
+            encrypted_rows,
+        }) => Some(Ok(tuples_and_rows_len(
+            plain_tuples,
+            encrypted_rows.iter().map(WireRow::as_row_ref),
+        ))),
+        _ => None,
+    }
+}
+
+/// Asserts every way of sizing `msg` agrees with its encoding.
+fn assert_sizes_match(msg: &WireMessage) {
+    let encoded = msg.encode().expect("in-range message encodes").len();
+    assert_eq!(msg.encoded_len().unwrap(), encoded, "{}", msg.name());
+    if let Some(sized) = sized_from_parts(msg) {
+        assert_eq!(sized.unwrap(), encoded, "{} from parts", msg.name());
+    }
+}
+
+/// A predicate whose deepest node sits at nesting depth `depth` (the root
+/// is depth 0), built from every composite kind.
+fn predicate_of_depth(depth: usize) -> Predicate {
+    let mut p = Predicate::Eq {
+        attr: pds_common::AttrId::new(1),
+        value: Value::Int(7),
+    };
+    for level in 0..depth {
+        p = match level % 3 {
+            0 => Predicate::Not(Box::new(p)),
+            1 => Predicate::And(vec![Predicate::True, p]),
+            _ => Predicate::Or(vec![p]),
+        };
+    }
+    p
+}
+
+/// [`Value::encode`] as the wire layout specifies it: a tag byte, then the
+/// payload.
+fn reference_value_encoding(v: &Value) -> Vec<u8> {
+    match v {
+        Value::Null => vec![0],
+        Value::Int(i) => [&[1u8][..], &i.to_be_bytes()].concat(),
+        Value::Text(s) => [&[2u8][..], s.as_bytes()].concat(),
+        Value::Bytes(b) => [&[3u8][..], b].concat(),
+        Value::Bool(b) => vec![4, u8::from(*b)],
+    }
+}
+
+/// [`Tuple::encode`] as the layout specifies it: id, value count, then
+/// each value's encoding behind a 4-byte length.
+fn reference_tuple_encoding(t: &Tuple) -> Vec<u8> {
+    let mut out = t.id.raw().to_be_bytes().to_vec();
+    out.extend_from_slice(&(t.values.len() as u32).to_be_bytes());
+    for v in &t.values {
+        let enc = reference_value_encoding(v);
+        out.extend_from_slice(&(enc.len() as u32).to_be_bytes());
+        out.extend_from_slice(&enc);
+    }
+    out
+}
+
+#[test]
+fn empty_bodies_size_exactly() {
+    for msg in empty_messages() {
+        assert_sizes_match(&msg);
+    }
+}
+
+#[test]
+fn predicates_at_the_depth_cap_size_exactly_and_past_it_are_errors() {
+    let at_cap = predicate_of_depth(PREDICATE_DEPTH_CAP - 1);
+    let past_cap = predicate_of_depth(PREDICATE_DEPTH_CAP);
+    for (predicate, ok) in [(at_cap, true), (past_cap, false)] {
+        let fetch = WireMessage::FetchBinRequest(FetchBinRequest {
+            values: vec![Value::from("v")],
+            predicate: Some(predicate.clone()),
+            ..FetchBinRequest::default()
+        });
+        let pair = WireMessage::BinPairRequest(BinPairRequest {
+            nonsensitive_values: vec![Value::Int(3)],
+            predicate: Some(predicate),
+            ..BinPairRequest::default()
+        });
+        for msg in [fetch, pair] {
+            if ok {
+                assert_sizes_match(&msg);
+            } else {
+                assert!(msg.encode().is_err(), "{} encodes", msg.name());
+                assert!(msg.encoded_len().is_err(), "{} sizes", msg.name());
+                let sized = sized_from_parts(&msg).expect("request types size from parts");
+                assert!(sized.is_err(), "{} sizes from parts", msg.name());
+            }
+        }
     }
 }
 
@@ -191,6 +330,27 @@ proptest! {
     fn encoded_len_matches_frame(seed in proptest::arbitrary::any::<u64>()) {
         let msg = arb_message(seed);
         prop_assert_eq!(msg.encoded_len().unwrap(), msg.encode().unwrap().len());
+        assert_sizes_match(&msg);
+    }
+
+    #[test]
+    fn encode_into_writes_the_encoding(seed in proptest::arbitrary::any::<u64>()) {
+        let mut rng = pds_common::rng::seeded_rng(seed);
+        let value = arb_value(&mut rng);
+        let tuple = arb_tuple(&mut rng);
+        prop_assert_eq!(value.encode(), reference_value_encoding(&value));
+        prop_assert_eq!(tuple.encode(), reference_tuple_encoding(&tuple));
+        // Into a buffer that already holds bytes (a frame header), and into
+        // a counter: the same bytes appended, the same count.
+        let mut frame = vec![0xAA; 5];
+        value.encode_into(&mut frame);
+        tuple.encode_into(&mut frame);
+        let expected = [&[0xAA; 5][..], &value.encode(), &tuple.encode()].concat();
+        prop_assert_eq!(&frame, &expected);
+        let mut count = ByteCounter::default();
+        value.encode_into(&mut count);
+        tuple.encode_into(&mut count);
+        prop_assert_eq!(count.0 + 5, frame.len());
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub struct Relation {
     name: String,
     schema: Schema,
     tuples: Vec<Tuple>,
+    /// Position of every tuple in `tuples`, by id: O(1) [`Relation::get`]
+    /// and duplicate checks.
+    by_id: HashMap<TupleId, usize>,
     next_id: u64,
 }
 
@@ -26,6 +29,7 @@ impl Relation {
             name: name.into(),
             schema,
             tuples: Vec::new(),
+            by_id: HashMap::new(),
             next_id: 0,
         }
     }
@@ -60,7 +64,7 @@ impl Relation {
         self.schema.validate_row(&values)?;
         let id = TupleId::new(self.next_id);
         self.next_id += 1;
-        self.tuples.push(Tuple::new(id, values));
+        self.push(Tuple::new(id, values));
         Ok(id)
     }
 
@@ -68,12 +72,17 @@ impl Relation {
     /// the sensitive/non-sensitive parts keep the original ids).
     pub fn insert_with_id(&mut self, id: TupleId, values: Vec<Value>) -> Result<()> {
         self.schema.validate_row(&values)?;
-        if self.tuples.iter().any(|t| t.id == id) {
+        if self.by_id.contains_key(&id) {
             return Err(PdsError::Schema(format!("duplicate tuple id {id}")));
         }
         self.next_id = self.next_id.max(id.raw() + 1);
-        self.tuples.push(Tuple::new(id, values));
+        self.push(Tuple::new(id, values));
         Ok(())
+    }
+
+    fn push(&mut self, tuple: Tuple) {
+        self.by_id.insert(tuple.id, self.tuples.len());
+        self.tuples.push(tuple);
     }
 
     /// Bulk insert of many rows; returns the assigned ids.
@@ -87,14 +96,22 @@ impl Relation {
 
     /// Fetches a tuple by id.
     pub fn get(&self, id: TupleId) -> Option<&Tuple> {
-        self.tuples.iter().find(|t| t.id == id)
+        self.by_id.get(&id).map(|&at| &self.tuples[at])
     }
 
-    /// Deletes a tuple by id; returns whether a tuple was removed.
+    /// Deletes a tuple by id, keeping the others in insertion order;
+    /// returns whether a tuple was removed.
     pub fn delete(&mut self, id: TupleId) -> bool {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| t.id != id);
-        before != self.tuples.len()
+        let Some(at) = self.by_id.remove(&id) else {
+            return false;
+        };
+        self.tuples.remove(at);
+        for t in &self.tuples[at..] {
+            if let Some(pos) = self.by_id.get_mut(&t.id) {
+                *pos -= 1;
+            }
+        }
+        true
     }
 
     /// Runs a selection query with a full scan, returning matching tuples
@@ -241,6 +258,50 @@ mod tests {
         assert!(r.get(id).is_none());
         assert!(!r.delete(id));
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn get_finds_tuples_from_both_insert_paths() {
+        let schema = Schema::from_pairs(&[("A", DataType::Int)]).unwrap();
+        let mut r = Relation::new("T", schema);
+        let fresh = r.insert(vec![Value::Int(1)]).unwrap();
+        r.insert_with_id(TupleId::new(9), vec![Value::Int(2)])
+            .unwrap();
+        let after = r.insert(vec![Value::Int(3)]).unwrap();
+        assert_eq!(r.get(fresh).unwrap().values, vec![Value::Int(1)]);
+        assert_eq!(r.get(TupleId::new(9)).unwrap().values, vec![Value::Int(2)]);
+        assert_eq!(r.get(after).unwrap().values, vec![Value::Int(3)]);
+        assert!(r.get(TupleId::new(5)).is_none());
+    }
+
+    #[test]
+    fn duplicate_id_is_rejected_and_leaves_the_relation_unchanged() {
+        let schema = Schema::from_pairs(&[("A", DataType::Int)]).unwrap();
+        let mut r = Relation::new("T", schema);
+        let id = r.insert(vec![Value::Int(1)]).unwrap();
+        assert!(r.insert_with_id(id, vec![Value::Int(2)]).is_err());
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.get(id).unwrap().values, vec![Value::Int(1)]);
+    }
+
+    #[test]
+    fn delete_from_the_middle_keeps_every_other_id_resolvable() {
+        let schema = Schema::from_pairs(&[("A", DataType::Int)]).unwrap();
+        let mut r = Relation::new("T", schema);
+        let ids: Vec<TupleId> = (0..6)
+            .map(|v| r.insert(vec![Value::Int(v)]).unwrap())
+            .collect();
+        assert!(r.delete(ids[2]));
+        assert!(r.get(ids[2]).is_none());
+        for (v, &id) in ids.iter().enumerate().filter(|&(v, _)| v != 2) {
+            assert_eq!(r.get(id).unwrap().values, vec![Value::Int(v as i64)]);
+        }
+        // Insertion order survives, and the freed id can be reused.
+        let order: Vec<u64> = r.tuples().iter().map(|t| t.id.raw()).collect();
+        assert_eq!(order, vec![0, 1, 3, 4, 5]);
+        r.insert_with_id(ids[2], vec![Value::Int(20)]).unwrap();
+        assert_eq!(r.get(ids[2]).unwrap().values, vec![Value::Int(20)]);
+        assert_eq!(r.get(ids[5]).unwrap().values, vec![Value::Int(5)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tuples (rows) of a relation.
 
-use pds_common::{AttrId, TupleId, Value};
+use pds_common::{AttrId, ByteSink, TupleId, Value};
 use serde::{Deserialize, Serialize};
 
 /// A tuple: a stable identifier plus one value per attribute of the owning
@@ -49,15 +49,20 @@ impl Tuple {
     /// Stable byte encoding of the whole tuple (what gets encrypted when a
     /// sensitive tuple is outsourced).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_bytes() + 4 * self.values.len());
-        out.extend_from_slice(&self.id.raw().to_be_bytes());
-        out.extend_from_slice(&(self.values.len() as u32).to_be_bytes());
-        for v in &self.values {
-            let enc = v.encode();
-            out.extend_from_slice(&(enc.len() as u32).to_be_bytes());
-            out.extend_from_slice(&enc);
-        }
+        let mut out = Vec::with_capacity(self.size_bytes() + 5 * self.values.len() + 4);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Writes [`Tuple::encode`]'s bytes into `out` — straight into a wire
+    /// frame, or into a [`ByteCounter`](pds_common::ByteCounter) to size
+    /// one.
+    pub fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        out.put_u64(self.id.raw());
+        out.put_u32(self.values.len() as u32);
+        for v in &self.values {
+            out.put_len_prefixed(|out| v.encode_into(out));
+        }
     }
 
     /// Decodes a tuple previously produced by [`Tuple::encode`].
