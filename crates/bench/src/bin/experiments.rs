@@ -963,46 +963,45 @@ fn print_service(shards: usize, workers: Option<usize>, owners: usize) -> bool {
     }
 }
 
-/// Prints the pipelined-vs-lock-step comparison and the experiment's own
+/// Prints the window-1-vs-pipelined comparison and the experiment's own
 /// metrics registry (buffer-pool reuse counters); returns whether the
 /// gate held (strictly faster, blocked-read self-time shrank, identical
-/// answers, security intact, pool hits nonzero, v1 frames still decode).
+/// answers, security intact, pool hits nonzero).
 fn print_pipeline(shards: usize) -> bool {
     println!(
-        "== Pipelined wire dispatch vs lock-step over {shards} loopback shard daemons \
-         (Employee workload) =="
+        "== Pipelined wire dispatch: in-flight window 1 vs {} over {shards} loopback \
+         shard daemons (Employee workload) ==",
+        pds_core::DEFAULT_PIPELINE_WINDOW
     );
     match pipeline::run(shards, 4, pds_core::DEFAULT_PIPELINE_WINDOW, 3, 42) {
         Ok(o) => {
             println!(
-                "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8} {:>8}",
+                "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8}",
                 "shards",
                 "queries",
                 "window",
-                "lock-step s",
+                "window 1 s",
                 "pipelined s",
                 "speedup",
                 "exact?",
-                "secure?",
-                "v1 ok?"
+                "secure?"
             );
             println!(
-                "{:>8} {:>8} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8} {:>8}",
+                "{:>8} {:>8} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8}",
                 o.shards,
                 o.queries,
                 o.window,
-                o.lock_step_sec,
+                o.window_one_sec,
                 o.pipelined_sec,
                 o.speedup(),
                 o.exact,
-                o.secure,
-                o.v1_compat
+                o.secure
             );
             println!(
                 "wire.call self-time (client blocked on response reads, {} reps): \
-                 lock-step {:.3} ms -> pipelined {:.3} ms",
+                 window 1 {:.3} ms -> pipelined {:.3} ms",
                 o.reps,
-                o.wire_call_lock_ns as f64 / 1e6,
+                o.wire_call_one_ns as f64 / 1e6,
                 o.wire_call_pipe_ns as f64 / 1e6
             );
             let registry = pds_obs::Registry::new();
@@ -1011,7 +1010,7 @@ fn print_pipeline(shards: usize) -> bool {
             if !o.holds() {
                 eprintln!(
                     "pipeline failed its gate (needs strictly faster wall-clock, shrinking \
-                     wire.call self-time, identical answers, security, pool hits, v1 compat)"
+                     wire.call self-time, identical answers, security, pool hits)"
                 );
             }
             println!();

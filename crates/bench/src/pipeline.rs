@@ -1,17 +1,18 @@
-//! The pipelined-dispatch experiment: lock-step vs pipelined wire
-//! disciplines over identical loopback shard daemons.
+//! The pipelined-dispatch experiment: an in-flight window of 1 vs a
+//! deeper window over identical loopback shard daemons.
 //!
 //! Both arms run the identical multi-pass Employee workload through the
-//! same tenant deployment against the same daemons; only the
-//! [`WireMode`] differs.  Lock-step writes one `BinPairRequest` and
-//! blocks for its answer before writing the next; pipelined dispatch
-//! enqueues a whole window of correlated requests per shard (vectored
-//! writes, one flush), then demuxes the responses by correlation id in
-//! whatever order the daemon's workers finish them.
+//! same tenant deployment against the same daemons; only
+//! [`QbExecutor::set_pipeline_window`] differs.  With window 1 the client
+//! writes one `BinPairRequest` and blocks for its answer before writing
+//! the next; with the deeper window it enqueues a whole window of
+//! correlated requests per shard (vectored writes, one flush), then
+//! demuxes the responses by correlation id in whatever order the daemon's
+//! workers finish them.
 //!
 //! The gate (`experiments pipeline`) requires, at `>= 2` shards:
 //!
-//! * **strictly faster** — pipelined wall-clock below lock-step;
+//! * **strictly faster** — pipelined wall-clock below window 1;
 //! * **shrinking blocked time** — the `wire.call` span (client blocked
 //!   on a response read) must have *less self-time* in the pipelined
 //!   arm, proving the win comes from overlapping round trips rather
@@ -21,10 +22,7 @@
 //! * **security intact** — per-shard and composed partitioned-security
 //!   checks pass after the daemons hand their servers back;
 //! * **hot-path reuse** — the `pds-proto` buffer pool served codec
-//!   buffers from its free list (`pds_wire_buf_reuse_total` hits > 0);
-//! * **version compatibility** — a legacy v1 frame (no correlation id)
-//!   still decodes through the v2 codec, and a v2 frame round-trips its
-//!   correlation id.
+//!   buffers from its free list (`pds_wire_buf_reuse_total` hits > 0).
 //!
 //! Pool counters are flushed into the *experiment's own* metrics
 //! [`Registry`] — never the daemons' (their stats snapshots are gated
@@ -40,12 +38,9 @@ use pds_cloud::{
     ShardRouter, TcpCloudClient,
 };
 use pds_common::{PdsError, Result, Value};
-use pds_core::{BinningConfig, QbExecutor, QueryBinning, WireMode};
+use pds_core::{BinningConfig, QbExecutor, QueryBinning};
 use pds_obs::Registry;
-use pds_proto::{
-    crc32, decode_frame_corr, frame::MAGIC, pool_stats, Hello, PoolStats, WireMessage, HEADER_LEN,
-    VERSION_V1,
-};
+use pds_proto::{pool_stats, PoolStats};
 use pds_storage::{Partitioner, Tuple};
 use pds_systems::DeterministicIndexEngine;
 use pds_workload::{employee_relation, employee_sensitivity_policy};
@@ -57,24 +52,21 @@ pub struct PipelineOutcome {
     pub shards: usize,
     /// Point queries per arm run.
     pub queries: usize,
-    /// In-flight window of the pipelined arm.
+    /// In-flight window of the pipelined arm (the other arm uses 1).
     pub window: usize,
     /// Timed runs per arm (each arm reports its fastest).
     pub reps: usize,
-    /// Best lock-step wall-clock over the reps, in seconds.
-    pub lock_step_sec: f64,
+    /// Best window-1 wall-clock over the reps, in seconds.
+    pub window_one_sec: f64,
     /// Best pipelined wall-clock over the reps, in seconds.
     pub pipelined_sec: f64,
     /// Best (lowest) per-rep `wire.call` self-time (client blocked on a
-    /// response read) over the lock-step reps, in nanoseconds.
-    pub wire_call_lock_ns: u64,
+    /// response read) over the window-1 reps, in nanoseconds.
+    pub wire_call_one_ns: u64,
     /// Best per-rep `wire.call` self-time over the pipelined reps.
     pub wire_call_pipe_ns: u64,
     /// Buffer-pool counter deltas over the whole experiment.
     pub pool: PoolStats,
-    /// Whether a hand-rolled v1 frame decoded through the v2 codec and
-    /// a v2 frame round-tripped its correlation id.
-    pub v1_compat: bool,
     /// Whether every arm's every answer equalled the threaded reference.
     pub exact: bool,
     /// Whether per-shard and composed security held afterwards.
@@ -82,10 +74,10 @@ pub struct PipelineOutcome {
 }
 
 impl PipelineOutcome {
-    /// Lock-step wall-clock over pipelined wall-clock.
+    /// Window-1 wall-clock over pipelined wall-clock.
     pub fn speedup(&self) -> f64 {
         if self.pipelined_sec > 0.0 {
-            self.lock_step_sec / self.pipelined_sec
+            self.window_one_sec / self.pipelined_sec
         } else {
             0.0
         }
@@ -96,9 +88,8 @@ impl PipelineOutcome {
         self.shards >= 2
             && self.exact
             && self.secure
-            && self.v1_compat
-            && self.pipelined_sec < self.lock_step_sec
-            && self.wire_call_pipe_ns < self.wire_call_lock_ns
+            && self.pipelined_sec < self.window_one_sec
+            && self.wire_call_pipe_ns < self.wire_call_one_ns
             && self.pool.hits > 0
     }
 
@@ -115,37 +106,6 @@ impl PipelineOutcome {
             registry.counter_set("pds_wire_buf_reuse_total", &[("event", event)], value);
         }
     }
-}
-
-/// Proves the frame codec's version compatibility without touching the
-/// network: a v2 frame must round-trip its correlation id, and a
-/// hand-rolled legacy v1 frame (8-byte header, no correlation id) must
-/// still decode — as correlation id 0 — through the same decoder.
-pub fn v1_frames_still_decode() -> bool {
-    let msg = WireMessage::Hello(Hello { tenant: 42 });
-    let v2 = match msg.encode_framed(77) {
-        Ok(f) => f,
-        Err(_) => return false,
-    };
-    let v2_ok = matches!(
-        decode_frame_corr(&v2),
-        Ok((_, 77, payload)) if payload == &v2[HEADER_LEN..v2.len() - 4]
-    );
-
-    let payload = &v2[HEADER_LEN..v2.len() - 4];
-    let mut v1 = Vec::with_capacity(payload.len() + 12);
-    v1.extend_from_slice(&MAGIC);
-    v1.push(VERSION_V1);
-    v1.push(v2[3]); // same message type
-    v1.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    v1.extend_from_slice(payload);
-    let crc = crc32(&v1);
-    v1.extend_from_slice(&crc.to_be_bytes());
-    let v1_ok = match decode_frame_corr(&v1) {
-        Ok((ty, corr, body)) => ty == v2[3] && corr == 0 && body == payload,
-        Err(_) => false,
-    };
-    v2_ok && v1_ok
 }
 
 struct Deployment {
@@ -213,7 +173,7 @@ fn wire_call_self_ns(events: &[pds_obs::TraceEvent]) -> u64 {
         .sum()
 }
 
-/// Runs both wire disciplines `reps` times each (alternating, so drift
+/// Runs both windows `reps` times each (alternating, so drift
 /// in machine load hits both arms equally) over `shards` daemons and
 /// returns the gated outcome.
 pub fn run(
@@ -247,12 +207,12 @@ pub fn run(
     let was_tracing = pds_obs::tracing_enabled();
     pds_obs::set_tracing(true);
     let mut exact = true;
-    let mut lock_step_sec = f64::INFINITY;
+    let mut window_one_sec = f64::INFINITY;
     let mut pipelined_sec = f64::INFINITY;
-    let mut wire_call_lock_ns = u64::MAX;
+    let mut wire_call_one_ns = u64::MAX;
     let mut wire_call_pipe_ns = u64::MAX;
-    let arm = |dep: &mut Deployment, mode: WireMode| -> Result<(f64, u64, bool)> {
-        dep.executor.set_wire_mode(mode);
+    let arm = |dep: &mut Deployment, window: usize| -> Result<(f64, u64, bool)> {
+        dep.executor.set_pipeline_window(window);
         let _ = pds_obs::drain();
         let start = Instant::now();
         let run = dep.executor.run_workload_transported(
@@ -267,11 +227,11 @@ pub fn run(
     };
     let result = (|| -> Result<()> {
         for _ in 0..reps {
-            let (wall, blocked, ok) = arm(&mut dep, WireMode::LockStep)?;
-            lock_step_sec = lock_step_sec.min(wall);
-            wire_call_lock_ns = wire_call_lock_ns.min(blocked);
+            let (wall, blocked, ok) = arm(&mut dep, 1)?;
+            window_one_sec = window_one_sec.min(wall);
+            wire_call_one_ns = wire_call_one_ns.min(blocked);
             exact &= ok;
-            let (wall, blocked, ok) = arm(&mut dep, WireMode::Pipelined { window })?;
+            let (wall, blocked, ok) = arm(&mut dep, window)?;
             pipelined_sec = pipelined_sec.min(wall);
             wire_call_pipe_ns = wire_call_pipe_ns.min(blocked);
             exact &= ok;
@@ -299,9 +259,9 @@ pub fn run(
         queries: dep.workload.len(),
         window,
         reps,
-        lock_step_sec,
+        window_one_sec,
         pipelined_sec,
-        wire_call_lock_ns,
+        wire_call_one_ns,
         wire_call_pipe_ns,
         pool: PoolStats {
             hits: pool_after.hits - pool_before.hits,
@@ -309,7 +269,6 @@ pub fn run(
             returns: pool_after.returns - pool_before.returns,
             reader_grows: pool_after.reader_grows - pool_before.reader_grows,
         },
-        v1_compat: v1_frames_still_decode(),
         exact,
         secure,
     })
@@ -319,11 +278,6 @@ pub fn run(
 mod tests {
     use super::*;
     use pds_core::DEFAULT_PIPELINE_WINDOW;
-
-    #[test]
-    fn v1_compat_check_passes_on_the_live_codec() {
-        assert!(v1_frames_still_decode());
-    }
 
     #[test]
     fn pipeline_gate_holds_on_a_smoke_run() {
@@ -336,7 +290,6 @@ mod tests {
         for _ in 0..2 {
             assert!(outcome.exact, "answers diverged: {outcome:?}");
             assert!(outcome.secure, "security broke: {outcome:?}");
-            assert!(outcome.v1_compat);
             assert!(outcome.pool.hits > 0, "pool never hit: {:?}", outcome.pool);
             if outcome.holds() {
                 break;
@@ -345,19 +298,18 @@ mod tests {
         }
         assert!(outcome.exact, "answers diverged: {outcome:?}");
         assert!(outcome.secure, "security broke: {outcome:?}");
-        assert!(outcome.v1_compat);
         assert!(outcome.pool.hits > 0, "pool never hit: {:?}", outcome.pool);
         assert!(
-            outcome.pipelined_sec < outcome.lock_step_sec,
-            "pipelined {:.6}s !< lock-step {:.6}s",
+            outcome.pipelined_sec < outcome.window_one_sec,
+            "pipelined {:.6}s !< window 1 {:.6}s",
             outcome.pipelined_sec,
-            outcome.lock_step_sec
+            outcome.window_one_sec
         );
         assert!(
-            outcome.wire_call_pipe_ns < outcome.wire_call_lock_ns,
+            outcome.wire_call_pipe_ns < outcome.wire_call_one_ns,
             "blocked-read self-time must shrink: {} !< {}",
             outcome.wire_call_pipe_ns,
-            outcome.wire_call_lock_ns
+            outcome.wire_call_one_ns
         );
         assert!(outcome.holds());
 

@@ -28,25 +28,27 @@
 //! * [`shard::ShardRouter`] — a sharded multi-server deployment: `N`
 //!   independent `CloudServer` shards behind a seeded bin-to-shard placement
 //!   map, with per-shard *and* composed adversarial views,
-//! * [`transport::BinTransport`] — dispatch of per-shard bin fetches
-//!   sequentially, on scoped OS threads (measured compute overlap), or
+//! * [`transport::BinTransport`] — dispatch of per-shard episode streams
+//!   sequentially, on scoped OS threads (measured compute overlap),
 //!   through [`pds_proto::NetSim`]'s event loop
-//!   ([`transport::BinTransport::Simulated`]): the wire frames each shard
+//!   ([`transport::BinTransport::Simulated`]: the wire frames each shard
 //!   moved are replayed over per-shard links so the reported makespan shows
-//!   network latency genuinely overlapping, and
+//!   network latency genuinely overlapping), or on scoped OS threads over
+//!   TCP; every task gets one [`transport::ShardLink`] — its in-process
+//!   shard or its shard daemon — and
 //! * [`cache::BinCache`] — the owner-side hot-bin LRU: whole decrypted bins
 //!   cached at the trusted owner, so repeated (skewed) queries skip the
 //!   cloud round-trip entirely, and
 //! * [`session::CloudSession`] — the typed-message session layer: per-episode
 //!   round counting, composed one-round `BinPairRequest` episodes, and
-//!   `WireMessage` dispatch onto the server (the live execution path of the
-//!   plan→session pipeline in `pds-core`), and
+//!   `WireMessage` dispatch onto the server (the in-process link of the
+//!   plan→execute pipeline in `pds-core`), and
 //! * [`service::ShardDaemon`] / [`tcp::TcpCloudClient`] — the same dispatch
 //!   seam behind a real loopback TCP socket: a per-shard daemon (acceptor +
 //!   reader threads + worker pool) serving concurrent multi-tenant owners,
-//!   and the pooled client whose [`tcp::RemoteSession`] implements
-//!   [`session::EpisodeChannel`] so engines run unchanged on either side of
-//!   the wire ([`transport::BinTransport::Tcp`]).
+//!   and the pooled, correlation-aware client behind
+//!   [`transport::BinTransport::Tcp`], over which composed episodes travel
+//!   pipelined.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,9 +73,9 @@ pub use owner::DbOwner;
 pub use pds_proto::{msg_tag, LinkSpec, RoundTrip, SimReport};
 pub use server::{BinPairResult, CloudServer};
 pub use service::{ServiceConfig, ShardDaemon};
-pub use session::{BinEpisodeRequest, CloudSession, EpisodeChannel};
+pub use session::{BinEpisodeRequest, CloudSession};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
-pub use tcp::{CorrelationWindow, RemoteSession, TcpCloudClient, TcpShardConn};
-pub use transport::{simulate_wire_traffic, BinTransport, DispatchReport};
+pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
+pub use transport::{simulate_wire_traffic, BinTransport, DispatchReport, ShardLink};
 pub use view::{AdversarialView, QueryEpisode};

@@ -11,13 +11,13 @@ use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
 use pds_storage::{Relation, Tuple};
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 use crate::metrics::Metrics;
 use crate::store::EncryptedRow;
 
 /// The trusted client that owns the data and the keys.
 pub struct DbOwner {
-    seed: u64,
     cipher: NonDetCipher,
     tagger: DeterministicTagger,
     rng: StdRng,
@@ -28,7 +28,6 @@ impl DbOwner {
     /// Creates an owner whose keys and randomness derive from `seed`.
     pub fn new(seed: u64) -> Self {
         DbOwner {
-            seed,
             cipher: NonDetCipher::new(
                 Key128::derive(seed, "owner-enc"),
                 Key128::derive(seed, "owner-mac"),
@@ -47,14 +46,15 @@ impl DbOwner {
     /// produce identical deterministic tags) while the encryption
     /// randomness and the work counters must not be shared across threads.
     /// Fold the fork's counters back with [`DbOwner::absorb_metrics`].
-    pub fn fork(&self, salt: u64) -> Self {
+    ///
+    /// The fork's seed is drawn from (and advances) this owner's own
+    /// randomness, so no two forks — of one batch or of successive
+    /// batches — replay a nonce stream under the shared key.
+    pub fn fork(&mut self) -> Self {
         DbOwner {
-            seed: self.seed,
             cipher: self.cipher.clone(),
             tagger: self.tagger.clone(),
-            rng: pds_common::rng::seeded_rng(
-                pds_common::rng::derive_seed(self.seed, "owner-fork").wrapping_add(salt),
-            ),
+            rng: pds_common::rng::seeded_rng(self.rng.next_u64()),
             metrics: Metrics::new(),
         }
     }
@@ -321,7 +321,7 @@ mod tests {
     fn fork_shares_keys_but_not_counters() {
         let mut owner = DbOwner::new(7);
         let ct = owner.encrypt_value(&Value::from("secret"));
-        let mut fork = owner.fork(1);
+        let mut fork = owner.fork();
         assert_eq!(fork.metrics().owner_encryptions, 0, "fresh counters");
         assert_eq!(
             fork.decrypt_value(&ct).unwrap(),
@@ -333,11 +333,13 @@ mod tests {
             fork.det_tag(&Value::from("E259")),
             "deterministic tags agree across forks"
         );
-        // Forked randomness streams are independent of each other.
-        let mut fork2 = owner.fork(2);
+        // Two forks of one parent — what successive batches create for
+        // the same shard — never share a nonce: AES-CTR under the shared
+        // key would otherwise be a two-time pad.
+        let mut fork2 = owner.fork();
         assert_ne!(
-            fork.encrypt_value(&Value::Int(1)),
-            fork2.encrypt_value(&Value::Int(1))
+            fork.encrypt_value(&Value::Int(1)).as_bytes()[..8],
+            fork2.encrypt_value(&Value::Int(1)).as_bytes()[..8]
         );
         // Counters fold back into the parent.
         owner.reset_metrics();

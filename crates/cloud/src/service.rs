@@ -23,6 +23,9 @@
 //!
 //! * **framing errors** (garbage bytes, truncated frame, kill-mid-frame)
 //!   close that connection and nothing else — the acceptor keeps accepting;
+//!   once the handshake is done, a frame the peer finished sending but the
+//!   daemon cannot read (another protocol version, bad magic) is first
+//!   answered with a typed [`WireMessage::Error`] frame;
 //! * **oversized declared lengths** are rejected *before* any payload
 //!   allocation ([`pds_proto::FrameReader`] with the daemon's configurable
 //!   [`ServiceConfig::max_payload`]) and answered with a typed
@@ -49,7 +52,7 @@
 //! same nesting graph acyclic from the source text on every commit.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,7 +116,7 @@ struct Job {
     tenant: u64,
     /// Correlation id from the request frame's header, stamped verbatim on
     /// the response frame so a pipelining client can demux out-of-order
-    /// answers (0 for legacy v1 requests).
+    /// answers.
     corr: u64,
     msg: WireMessage,
     writer: Arc<OrderedMutex<TcpStream>>,
@@ -306,7 +309,10 @@ fn run_connection(stream: TcpStream, state: &SharedState, jobs: &Sender<Job>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = std::io::BufReader::new(read_half);
+    let mut reader = PeerStream {
+        inner: BufReader::new(read_half),
+        ended: false,
+    };
     let writer = Arc::new(OrderedMutex::new("service.writer", stream));
     let dead = Arc::new(AtomicBool::new(false));
     let frames = FrameReader::new(state.config.max_payload);
@@ -410,11 +416,34 @@ fn run_connection(stream: TcpStream, state: &SharedState, jobs: &Sender<Job>) {
                 refuse(&writer, corr, &oversized_error(state, msg_type, declared));
                 return;
             }
-            // Truncated mid-frame or the peer died: nothing to answer.
+            // A header the peer finished sending but this daemon cannot
+            // read (another protocol version, bad magic): say why.
+            Err(e) if !reader.ended => {
+                refuse(&writer, 0, &e);
+                return;
+            }
+            // Truncated mid-frame: the peer ended its stream, nobody to
+            // answer.
             Err(_) => break,
         }
     }
     close(&writer);
+}
+
+/// A connection's read half that remembers whether the peer ended its
+/// stream, so a read error can tell a truncated frame (nobody left to
+/// answer) from a protocol violation (worth a typed refusal).
+struct PeerStream {
+    inner: BufReader<TcpStream>,
+    ended: bool,
+}
+
+impl Read for PeerStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.ended |= n == 0 && !buf.is_empty();
+        Ok(n)
+    }
 }
 
 fn oversized_error(state: &SharedState, msg_type: u8, declared: usize) -> PdsError {

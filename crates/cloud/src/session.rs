@@ -1,9 +1,9 @@
 //! The owner-facing cloud session: typed wire messages on the live path,
 //! with per-episode round accounting.
 //!
-//! A [`CloudSession`] wraps one [`CloudServer`] shard for the duration of a
-//! query stream.  It is the layer the Query Binning executor talks to when
-//! it executes a [`pds_core`-compiled] plan:
+//! A [`CloudSession`] wraps one in-process [`CloudServer`] shard for the
+//! duration of a query stream.  It is what a selection back-end talks to
+//! when `pds-core` runs a planned episode over an in-process shard link:
 //!
 //! * **episode lifecycle** — [`CloudSession::begin_episode`] /
 //!   [`CloudSession::end_episode`] bracket one adversarial-view episode and
@@ -17,16 +17,17 @@
 //!   resolve a bin-set request cloud-side;
 //! * **message dispatch** — [`CloudSession::dispatch`] accepts any
 //!   [`WireMessage`] and routes it onto the underlying server, returning
-//!   the typed response message.  This is the entry point a remote (socket)
-//!   transport would feed decoded frames into; the in-process executor uses
-//!   the typed methods directly and the test suite proves both agree.
+//!   the typed response message.  The shard daemon
+//!   ([`crate::service::ShardDaemon`]) feeds every decoded request frame
+//!   through it; the in-process path uses the typed methods directly and
+//!   the test suite proves both agree.
 //!
-//! Multi-round back-ends keep working unchanged: the session exposes the
-//! raw server through [`CloudSession::server_mut`], so a fine-grained
-//! episode (attribute-column download, address fetch, …) runs exactly as
-//! before while the session still counts its rounds.
-//!
-//! [`pds_core`-compiled]: CloudSession
+//! Multi-round back-ends drive the raw server through
+//! [`CloudSession::server_mut`], so a fine-grained episode
+//! (attribute-column download, address fetch, …) runs exactly as before
+//! while the session still counts its rounds.  Episodes over a TCP link
+//! never open a session: they travel as composed frames, see
+//! `pds_core::plan::execute_shard`.
 
 use pds_common::{PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
@@ -82,7 +83,6 @@ pub struct CloudSession<'a> {
     server: &'a mut CloudServer,
     episode_start_rounds: u64,
     episode_open: bool,
-    episode_rounds: Vec<u64>,
 }
 
 impl<'a> CloudSession<'a> {
@@ -92,7 +92,6 @@ impl<'a> CloudSession<'a> {
             server,
             episode_start_rounds: 0,
             episode_open: false,
-            episode_rounds: Vec::new(),
         }
     }
 
@@ -111,19 +110,7 @@ impl<'a> CloudSession<'a> {
         }
         self.server.end_query();
         self.episode_open = false;
-        let rounds = self.server.metrics().round_trips - self.episode_start_rounds;
-        self.episode_rounds.push(rounds);
-        rounds
-    }
-
-    /// Round counts of every completed episode of this session, in order.
-    pub fn episode_rounds(&self) -> &[u64] {
-        &self.episode_rounds
-    }
-
-    /// Total rounds over every completed episode of this session.
-    pub fn total_rounds(&self) -> u64 {
-        self.episode_rounds.iter().sum()
+        self.server.metrics().round_trips - self.episode_start_rounds
     }
 
     /// The underlying shard, for multi-round back-ends that drive the
@@ -141,17 +128,6 @@ impl<'a> CloudSession<'a> {
     /// Clear-text `IN` selection on the non-sensitive side (one round).
     pub fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
         self.server.plain_select_in(values)
-    }
-
-    /// Clear-text `IN` selection with an optional residual predicate pushed
-    /// below the bin fetch (one round; see
-    /// [`CloudServer::plain_select_filtered`]).
-    pub fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&Predicate>,
-    ) -> Result<Vec<Tuple>> {
-        self.server.plain_select_filtered(values, residual)
     }
 
     /// One composed episode whose sensitive side is resolved by the
@@ -273,95 +249,6 @@ impl<'a> CloudSession<'a> {
     }
 }
 
-/// The episode-scoped operations a selection back-end needs from its cloud
-/// connection — the seam that lets one engine implementation serve both the
-/// in-process [`CloudSession`] and a remote socket transport.
-///
-/// The trait is object-safe so engines can take `&mut dyn EpisodeChannel`
-/// without knowing which side of a socket they are on:
-///
-/// * [`CloudSession`] implements it by calling the shard directly;
-/// * `pds-cloud::tcp`'s `RemoteSession` implements it by framing each call
-///   as one `pds-proto` message to a `ShardDaemon`.
-///
-/// Multi-round (fine-grained) back-ends need raw server access, which a
-/// remote channel cannot grant — [`EpisodeChannel::local_server`] returns
-/// `None` there, and the caller degrades to a typed error instead of a
-/// protocol violation.  Likewise enclave/MPC back-ends resolve their tokens
-/// engine-side, so a remote channel answers
-/// [`EpisodeChannel::bin_pair_oblivious`] with a typed error.
-pub trait EpisodeChannel {
-    /// Clear-text `IN` selection on the non-sensitive side (one round).
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>>;
-
-    /// Clear-text `IN` selection with an optional residual predicate pushed
-    /// below the bin fetch, evaluated cloud-side before the downlink.  Not
-    /// defaulted on purpose: a local fallback that filtered after the wire
-    /// would silently mis-account the bytes pushdown exists to save.
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&Predicate>,
-    ) -> Result<Vec<Tuple>>;
-
-    /// One composed episode resolved by the cloud-side tag index.
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult>;
-
-    /// One composed episode resolved by a cloud-side secure execution
-    /// environment (enclave/MPC simulators).
-    fn bin_pair_oblivious(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tokens: Vec<Vec<u8>>,
-        matching: &[TupleId],
-        scanned: usize,
-    ) -> Result<BinPairResult>;
-
-    /// The underlying shard when the channel is in-process, `None` when the
-    /// shard lives behind a socket (fine-grained episodes need this).
-    fn local_server(&mut self) -> Option<&mut CloudServer>;
-}
-
-impl EpisodeChannel for CloudSession<'_> {
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        CloudSession::plain_select_in(self, values)
-    }
-
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&Predicate>,
-    ) -> Result<Vec<Tuple>> {
-        CloudSession::plain_select_filtered(self, values, residual)
-    }
-
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult> {
-        CloudSession::bin_pair_by_tags(self, request, tags)
-    }
-
-    fn bin_pair_oblivious(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tokens: Vec<Vec<u8>>,
-        matching: &[TupleId],
-        scanned: usize,
-    ) -> Result<BinPairResult> {
-        CloudSession::bin_pair_oblivious(self, request, tokens, matching, scanned)
-    }
-
-    fn local_server(&mut self) -> Option<&mut CloudServer> {
-        Some(self.server_mut())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,8 +310,6 @@ mod tests {
         assert_eq!(composed.0.len(), 1);
         assert_eq!(composed.1.len(), 1);
         assert_eq!(composed_rounds, 1, "composed episode is one round");
-        assert_eq!(session.episode_rounds(), &[2, 1]);
-        assert_eq!(session.total_rounds(), 3);
         assert_eq!(session.end_episode(), 0, "no episode open");
     }
 

@@ -1,28 +1,23 @@
 //! Client side of the TCP shard service: pooled connections and the
-//! remote [`EpisodeChannel`].
+//! correlation window.
 //!
 //! [`TcpCloudClient`] is one tenant's handle to a sharded deployment of
 //! [`crate::service::ShardDaemon`]s — one daemon address per shard, one
 //! lazily-grown connection pool per shard.  The handle is cheap to clone
 //! (shared pools behind an `Arc`), which is what lets it ride inside
-//! [`crate::BinTransport::Tcp`] and be captured by per-shard worker
-//! threads.
+//! [`crate::BinTransport::Tcp`] and hand each per-shard task a
+//! [`crate::ShardLink::Tcp`].
 //!
-//! [`RemoteSession`] is the socket twin of [`crate::CloudSession`]: it
-//! implements [`EpisodeChannel`] by framing each call as one `pds-proto`
-//! message, so the same engine code drives either side of the wire.  Every
-//! exchange counts as one owner↔cloud round, mirroring the in-process
-//! session's `round_trips` delta accounting.
-//!
-//! Connections support two dispatch disciplines.  The classic lock-step
-//! [`TcpShardConn::call`] writes one frame and awaits its response.  The
-//! pipelined path splits that into [`TcpShardConn::enqueue`] (frame the
-//! request under a fresh correlation id, buffer it), [`TcpShardConn::flush`]
-//! (put the whole batch on the socket with vectored writes), and
-//! [`TcpShardConn::recv_response`] (read one response frame, returning the
-//! correlation id its header carries).  [`CorrelationWindow`] matches those
-//! possibly-out-of-order responses back to request slots with typed errors
-//! on duplicate or unknown ids.
+//! A connection splits an exchange into [`TcpShardConn::enqueue`] (frame
+//! the request under a fresh correlation id, buffer it),
+//! [`TcpShardConn::flush`] (put the whole batch on the socket with
+//! vectored writes), and [`TcpShardConn::recv_response`] (read one
+//! response frame, returning the correlation id its header carries).
+//! [`TcpShardConn::call`] chains the three for one request.
+//! [`CorrelationWindow`] matches possibly-out-of-order responses back to
+//! request slots, with typed errors on duplicate or unknown ids.  Episodes
+//! run over these connections through `pds_core::plan::execute_shard`,
+//! where a window of 1 is the write-then-read discipline.
 
 use std::collections::HashMap;
 use std::io::{BufReader, IoSlice, Write};
@@ -30,13 +25,12 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pds_common::{OrderedMutex, PdsError, Result, TupleId, Value};
+use pds_common::{OrderedMutex, PdsError, Result, TupleId};
 use pds_crypto::Ciphertext;
-use pds_proto::{FetchBinRequest, FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
-use pds_storage::Tuple;
+use pds_proto::{FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
 
-use crate::server::{BinPairResult, CloudServer};
-use crate::session::{BinEpisodeRequest, EpisodeChannel};
+use crate::server::BinPairResult;
+use crate::session::BinEpisodeRequest;
 
 /// One authenticated connection to one shard daemon.
 #[derive(Debug)]
@@ -44,8 +38,8 @@ pub struct TcpShardConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     frames: FrameReader,
-    /// Next correlation id; starts at 1 so 0 stays "uncorrelated" (the v1
-    /// wire value), and never repeats within a connection's lifetime.
+    /// Next correlation id; starts at 1 and never repeats within a
+    /// connection's lifetime.
     next_corr: u64,
     /// Frames enqueued but not yet flushed to the socket (pooled buffers —
     /// flushing returns them to the codec pool).
@@ -129,8 +123,8 @@ impl TcpShardConn {
 
     /// Reads and decodes exactly one response frame, returning the
     /// correlation id its header carries alongside the message.  This is
-    /// the blocking wait of both dispatch disciplines, so its `wire.call`
-    /// span measures genuine time-waiting-on-the-cloud either way.
+    /// the client's only blocking wait, so its `wire.call` span measures
+    /// genuine time-waiting-on-the-cloud whatever the in-flight window.
     pub fn recv_response(&mut self) -> Result<(u64, WireMessage)> {
         let _span = pds_obs::obs_span("wire.call");
         match self.frames.read(&mut self.reader)? {
@@ -144,15 +138,13 @@ impl TcpShardConn {
         }
     }
 
-    /// One lock-step request/response exchange: write the encoded frame,
-    /// read exactly one response frame, and check it answers this request.
+    /// One request/response exchange: write the encoded frame, read
+    /// exactly one response frame, and check it answers this request.
     pub fn call(&mut self, msg: &WireMessage) -> Result<WireMessage> {
         let sent = self.enqueue(msg)?;
         self.flush()?;
         let (corr, resp) = self.recv_response()?;
-        // A v1 daemon answers with corr 0; only a *different* request's id
-        // is a protocol violation.
-        if corr != sent && corr != 0 {
+        if corr != sent {
             return Err(PdsError::Wire(format!(
                 "response correlation id {corr} does not answer request {sent}"
             )));
@@ -162,7 +154,7 @@ impl TcpShardConn {
 
     /// Frames one composed bin-pair episode under a fresh correlation id
     /// and buffers it for the next [`Self::flush`] — the typed uplink half
-    /// of the pipelined dispatch discipline.
+    /// of a pipelined episode.
     pub fn enqueue_bin_pair(
         &mut self,
         request: &BinEpisodeRequest,
@@ -387,125 +379,6 @@ impl TcpCloudClient {
                 other.name()
             ))),
         }
-    }
-}
-
-/// The remote twin of [`crate::CloudSession`]: an [`EpisodeChannel`] whose
-/// calls travel as `pds-proto` frames over one shard connection.
-#[derive(Debug)]
-pub struct RemoteSession<'a> {
-    conn: &'a mut TcpShardConn,
-    episode_rounds: Vec<u64>,
-    current: u64,
-    episode_open: bool,
-}
-
-impl<'a> RemoteSession<'a> {
-    /// Wraps one checked-out shard connection.
-    pub fn new(conn: &'a mut TcpShardConn) -> RemoteSession<'a> {
-        RemoteSession {
-            conn,
-            episode_rounds: Vec::new(),
-            current: 0,
-            episode_open: false,
-        }
-    }
-
-    /// Starts one episode's round counting (the daemon brackets the
-    /// server-side adversarial-view episode itself, per query message).
-    pub fn begin_episode(&mut self) {
-        self.current = 0;
-        self.episode_open = true;
-    }
-
-    /// Ends the episode, returning how many owner↔cloud rounds it took.
-    pub fn end_episode(&mut self) -> u64 {
-        if !self.episode_open {
-            return 0;
-        }
-        self.episode_open = false;
-        self.episode_rounds.push(self.current);
-        self.current
-    }
-
-    /// Total rounds over every completed episode of this session.
-    pub fn total_rounds(&self) -> u64 {
-        self.episode_rounds.iter().sum()
-    }
-
-    /// One framed exchange = one round; transported errors come back typed.
-    fn exchange(&mut self, msg: &WireMessage) -> Result<WireMessage> {
-        let resp = self.conn.call(msg)?;
-        self.current += 1;
-        match resp {
-            WireMessage::Error(e) => Err(e.into_error()),
-            other => Ok(other),
-        }
-    }
-}
-
-impl EpisodeChannel for RemoteSession<'_> {
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        self.plain_select_filtered(values, None)
-    }
-
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
-    ) -> Result<Vec<Tuple>> {
-        let resp = self.exchange(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: values.to_vec(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: residual.cloned(),
-        }))?;
-        match resp {
-            WireMessage::BinPayload(p) => Ok(p.plain_tuples),
-            other => Err(PdsError::Wire(format!(
-                "expected a BinPayload answer, got {}",
-                other.name()
-            ))),
-        }
-    }
-
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult> {
-        let resp = self.exchange(&WireMessage::BinPairRequest(request.to_wire(tags)))?;
-        match resp {
-            WireMessage::BinPayload(p) => Ok((
-                p.plain_tuples,
-                p.encrypted_rows
-                    .into_iter()
-                    .map(|row| (TupleId::new(row.id), Ciphertext(row.tuple_ct)))
-                    .collect(),
-            )),
-            other => Err(PdsError::Wire(format!(
-                "expected a BinPayload answer, got {}",
-                other.name()
-            ))),
-        }
-    }
-
-    fn bin_pair_oblivious(
-        &mut self,
-        _request: &BinEpisodeRequest,
-        _tokens: Vec<Vec<u8>>,
-        _matching: &[TupleId],
-        _scanned: usize,
-    ) -> Result<BinPairResult> {
-        Err(PdsError::Wire(
-            "enclave/MPC back-ends resolve their tokens engine-side; their \
-             composed episodes cannot be served over a bare socket"
-                .into(),
-        ))
-    }
-
-    fn local_server(&mut self) -> Option<&mut CloudServer> {
-        None
     }
 }
 

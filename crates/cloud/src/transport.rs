@@ -1,20 +1,21 @@
-//! Dispatch of per-shard bin fetches — sequential or on real OS threads.
+//! Dispatch of per-shard episode streams — sequential, on real OS threads,
+//! or over TCP to shard daemons.
 //!
 //! The [`crate::ShardRouter`]'s `parallel_comm_time` is a *model*: the
 //! max-over-shards simulated seconds a workload would take if the shards
 //! were independent machines.  [`BinTransport`] turns that estimate into a
 //! *measurement*: each shard's stream of bin fetches runs as one task with
-//! exclusive access to its shard slot, and [`BinTransport::Threaded`] fans
-//! the tasks out on scoped `std::thread`s so genuinely overlapped work can
-//! be timed with a wall clock.
+//! exclusive use of its shard's [`ShardLink`], and
+//! [`BinTransport::Threaded`] and [`BinTransport::Tcp`] fan the tasks out
+//! on scoped `std::thread`s so genuinely overlapped work can be timed with
+//! a wall clock.
 //!
 //! The dispatcher is deliberately engine-agnostic: tasks are plain `Send`
-//! closures over `&mut CloudServer`, so `pds-core` can capture each shard's
-//! forked engine and a forked owner without this crate knowing either type.
-//! Shard slots are handed out via disjoint `&mut` borrows (one per task),
-//! which is exactly the "per-shard mutable state behind the router's shard
-//! slots" layout the rest of the workspace already maintains — no locks, no
-//! shared mutability.
+//! closures over a [`ShardLink`], so `pds-core` can capture each shard's
+//! engine and a forked owner without this crate knowing either type.  An
+//! in-process link is a disjoint `&mut` borrow of one shard slot (no
+//! locks, no shared mutability); a TCP link names the shard daemon behind
+//! the transport's pooled client.
 
 use std::time::Instant;
 
@@ -43,12 +44,13 @@ pub enum BinTransport {
     /// per-shard latency genuinely overlaps, unlike the thread-based
     /// transport which only overlaps compute.
     Simulated(NetworkModel),
-    /// Real sockets: every episode travels as `pds-proto` frames to the
-    /// per-shard [`crate::service::ShardDaemon`]s behind this pooled
-    /// client.  The shards live in the daemons' address space, so this
-    /// variant is executed by `QbExecutor::run_workload_transported`'s
-    /// remote fan-out, not by [`BinTransport::dispatch`] (which needs the
-    /// shards in-process and panics on this variant).
+    /// Real sockets: one scoped OS thread per shard with work, exactly as
+    /// [`BinTransport::Threaded`], but each task gets a
+    /// [`ShardLink::Tcp`] to the per-shard
+    /// [`crate::service::ShardDaemon`] behind this pooled client instead
+    /// of the in-process shard slot.  The shards live in the daemons'
+    /// address space, so the slots passed to [`BinTransport::dispatch`]
+    /// only fix the shard count.
     Tcp(TcpCloudClient),
 }
 
@@ -65,6 +67,21 @@ impl PartialEq for BinTransport {
     }
 }
 
+/// What one shard task talks to: the shard itself, in this process, or
+/// the shard daemon behind a TCP client.
+#[derive(Debug)]
+pub enum ShardLink<'a> {
+    /// The shard's server, borrowed exclusively for the task.
+    Local(&'a mut CloudServer),
+    /// Shard `shard` of the daemon deployment `client` spans.
+    Tcp {
+        /// The pooled client the task checks connections out of.
+        client: &'a TcpCloudClient,
+        /// The shard (daemon) index.
+        shard: usize,
+    },
+}
+
 /// The outcome of one fan-out: per-shard task outputs (`None` for shards
 /// that had no task) plus the measured wall-clock of the whole dispatch.
 #[derive(Debug)]
@@ -76,18 +93,6 @@ pub struct DispatchReport<T> {
     /// Simulated-network wall-clock of the fan-out's wire traffic
     /// (`Some` for [`BinTransport::Simulated`], `None` otherwise).
     pub sim_wall_clock_sec: Option<f64>,
-    /// Owner↔cloud rounds each shard served during the dispatch (the
-    /// `round_trips` delta of that shard's metrics), aligned with the
-    /// shard slice.  The cost model charges `rounds × latency`, so the
-    /// executor threads these up into its run-level reporting.
-    pub rounds_per_shard: Vec<u64>,
-}
-
-impl<T> DispatchReport<T> {
-    /// Total owner↔cloud rounds over every shard of the dispatch.
-    pub fn total_rounds(&self) -> u64 {
-        self.rounds_per_shard.iter().sum()
-    }
 }
 
 /// Replays per-shard wire traffic through the event-driven simulator over
@@ -102,11 +107,11 @@ pub fn simulate_wire_traffic(
 }
 
 impl BinTransport {
-    /// Runs at most one task per shard, each with exclusive `&mut` access
-    /// to its shard slot, and measures the elapsed wall-clock.
+    /// Runs at most one task per shard, each with exclusive use of its
+    /// shard's link, and measures the elapsed wall-clock.
     ///
     /// `tasks` must be no longer than `shards`; missing trailing entries
-    /// are treated as `None`.  A panicking task propagates the panic after
+    /// are treated as `None`.  A panicking task propagates its panic after
     /// all other tasks have joined (scoped threads guarantee the join).
     pub fn dispatch<T, F>(
         &self,
@@ -114,7 +119,7 @@ impl BinTransport {
         tasks: Vec<Option<F>>,
     ) -> DispatchReport<T>
     where
-        F: FnOnce(&mut CloudServer) -> T + Send,
+        F: for<'l> FnOnce(ShardLink<'l>) -> T + Send,
         T: Send,
     {
         assert!(
@@ -124,26 +129,17 @@ impl BinTransport {
             shards.len()
         );
         let shard_count = shards.len();
-        let rounds_before: Vec<u64> = shards.iter().map(|s| s.metrics().round_trips).collect();
         let start = Instant::now();
         let mut sim_wall_clock_sec = None;
         let mut per_shard: Vec<Option<T>> = match self {
-            BinTransport::Sequential => shards
-                .iter_mut()
-                .zip(tasks)
-                .map(|(shard, task)| task.map(|f| f(shard)))
-                .collect(),
-            BinTransport::Threaded => std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(tasks)
-                    .map(|(shard, task)| task.map(|f| scope.spawn(move || f(shard))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().expect("shard task panicked")))
-                    .collect()
-            }),
+            BinTransport::Sequential => run_in_turn(shards, tasks),
+            BinTransport::Threaded => {
+                run_on_threads(shards.iter_mut().map(ShardLink::Local), tasks)
+            }
+            BinTransport::Tcp(client) => run_on_threads(
+                (0..shard_count).map(|shard| ShardLink::Tcp { client, shard }),
+                tasks,
+            ),
             BinTransport::Simulated(link) => {
                 // Validate the link config up front, before any shard task
                 // runs: a bad NetworkModel is a caller bug and must fail
@@ -155,11 +151,7 @@ impl BinTransport {
                 // comes from replaying the wire frames each task moved
                 // through the event simulator afterwards.
                 let wire_start: Vec<usize> = shards.iter().map(|s| s.wire_log().len()).collect();
-                let out: Vec<Option<T>> = shards
-                    .iter_mut()
-                    .zip(tasks)
-                    .map(|(shard, task)| task.map(|f| f(shard)))
-                    .collect();
+                let out = run_in_turn(shards, tasks);
                 let traffic: Vec<Vec<RoundTrip>> = shards
                     .iter()
                     .zip(&wire_start)
@@ -171,25 +163,49 @@ impl BinTransport {
                 sim_wall_clock_sec = Some(report.makespan_sec);
                 out
             }
-            BinTransport::Tcp(_) => panic!(
-                "BinTransport::Tcp episodes are executed by \
-                 QbExecutor::run_workload_transported's remote fan-out; \
-                 dispatch() needs the shards in this process"
-            ),
         };
         per_shard.resize_with(shard_count, || None);
-        let rounds_per_shard: Vec<u64> = shards
-            .iter()
-            .zip(&rounds_before)
-            .map(|(s, &before)| s.metrics().round_trips - before)
-            .collect();
         DispatchReport {
             per_shard,
             wall_clock_sec: start.elapsed().as_secs_f64(),
             sim_wall_clock_sec,
-            rounds_per_shard,
         }
     }
+}
+
+/// One in-process shard task after another on the calling thread.
+fn run_in_turn<T, F>(shards: &mut [CloudServer], tasks: Vec<Option<F>>) -> Vec<Option<T>>
+where
+    F: for<'l> FnOnce(ShardLink<'l>) -> T,
+{
+    shards
+        .iter_mut()
+        .zip(tasks)
+        .map(|(shard, task)| task.map(|f| f(ShardLink::Local(shard))))
+        .collect()
+}
+
+/// One scoped OS thread per task, each owning its shard's link; joins
+/// every thread before re-raising the first task panic.
+fn run_on_threads<'l, T, F>(
+    links: impl Iterator<Item = ShardLink<'l>>,
+    tasks: Vec<Option<F>>,
+) -> Vec<Option<T>>
+where
+    F: FnOnce(ShardLink<'l>) -> T + Send,
+    T: Send,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = links
+            .zip(tasks)
+            .map(|(link, task)| task.map(|f| scope.spawn(move || f(link))))
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.map(|h| h.join())).collect();
+        joined
+            .into_iter()
+            .map(|slot| slot.map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -199,6 +215,13 @@ mod tests {
     use crate::store::EncryptedRow;
     use pds_common::TupleId;
     use pds_crypto::NonDetCipher;
+
+    fn local(link: ShardLink<'_>) -> &mut CloudServer {
+        match link {
+            ShardLink::Local(shard) => shard,
+            other => panic!("expected an in-process link, got {other:?}"),
+        }
+    }
 
     fn shards(n: usize) -> Vec<CloudServer> {
         (0..n)
@@ -225,7 +248,8 @@ mod tests {
             let mut servers = shards(3);
             let tasks: Vec<Option<_>> = (0..3u64)
                 .map(|i| {
-                    Some(move |shard: &mut CloudServer| {
+                    Some(move |link: ShardLink<'_>| {
+                        let shard = local(link);
                         shard.upload_encrypted(rows(i * 100, i + 1)).unwrap();
                         shard.encrypted_len()
                     })
@@ -240,7 +264,7 @@ mod tests {
         }
     }
 
-    type BoxedTask = Box<dyn FnOnce(&mut CloudServer) -> usize + Send>;
+    type BoxedTask = Box<dyn FnOnce(ShardLink<'_>) -> usize + Send>;
 
     #[test]
     fn shards_without_tasks_are_untouched() {
@@ -248,8 +272,8 @@ mod tests {
         // Only shard 1 gets work; trailing shards get implicit None.
         let tasks: Vec<Option<BoxedTask>> = vec![
             None,
-            Some(Box::new(|shard: &mut CloudServer| {
-                shard.upload_encrypted(rows(0, 2)).unwrap();
+            Some(Box::new(|link: ShardLink<'_>| {
+                local(link).upload_encrypted(rows(0, 2)).unwrap();
                 2
             })),
         ];
@@ -265,7 +289,7 @@ mod tests {
         // ~20ms per batch (on a single-core box the threads still overlap
         // their sleeps).  Generous bounds keep this robust under CI noise.
         let sleep_task =
-            |_: &mut CloudServer| std::thread::sleep(std::time::Duration::from_millis(20));
+            |_: ShardLink<'_>| std::thread::sleep(std::time::Duration::from_millis(20));
         let mut servers = shards(4);
         let seq = BinTransport::Sequential
             .dispatch(&mut servers, (0..4).map(|_| Some(sleep_task)).collect());
@@ -291,7 +315,8 @@ mod tests {
             let mut servers = shards(4);
             let tasks: Vec<Option<_>> = (0..n as u64)
                 .map(|i| {
-                    Some(move |shard: &mut CloudServer| {
+                    Some(move |link: ShardLink<'_>| {
+                        let shard = local(link);
                         shard.upload_encrypted(rows(i * 100, 3)).unwrap();
                         shard.scan_encrypted().len()
                     })
@@ -316,7 +341,7 @@ mod tests {
         // Sequential/Threaded transports report no simulated clock.
         let mut servers = shards(1);
         let report = BinTransport::Sequential
-            .dispatch::<usize, _>(&mut servers, vec![Some(|_: &mut CloudServer| 1)]);
+            .dispatch::<usize, _>(&mut servers, vec![Some(|_: ShardLink<'_>| 1)]);
         assert!(report.sim_wall_clock_sec.is_none());
     }
 
@@ -343,36 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_reports_per_shard_rounds() {
-        for transport in [BinTransport::Sequential, BinTransport::Threaded] {
-            let mut servers = shards(3);
-            for (i, s) in servers.iter_mut().enumerate() {
-                s.upload_encrypted(rows(i as u64 * 100, 2)).unwrap();
-            }
-            // Shard 0: two round trips; shard 1: one; shard 2: none.
-            let tasks: Vec<Option<BoxedTask>> = vec![
-                Some(Box::new(|shard: &mut CloudServer| {
-                    shard.scan_encrypted();
-                    shard.scan_encrypted();
-                    0
-                })),
-                Some(Box::new(|shard: &mut CloudServer| {
-                    shard.scan_encrypted();
-                    0
-                })),
-                None,
-            ];
-            let report = transport.dispatch(&mut servers, tasks);
-            assert_eq!(report.rounds_per_shard, vec![2, 1, 0], "{transport:?}");
-            assert_eq!(report.total_rounds(), 3);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "tasks for")]
     fn more_tasks_than_shards_is_a_bug() {
         let mut servers = shards(1);
-        let tasks: Vec<Option<fn(&mut CloudServer)>> = vec![Some(|_| {}), Some(|_| {})];
+        let tasks: Vec<Option<fn(ShardLink<'_>)>> = vec![Some(|_| {}), Some(|_| {})];
         let _ = BinTransport::Sequential.dispatch(&mut servers, tasks);
     }
 }

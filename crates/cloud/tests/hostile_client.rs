@@ -175,6 +175,40 @@ fn oversized_declared_length_gets_a_typed_error_then_close() {
         other => panic!("connection must close after the refusal, got {other:?}"),
     }
 
+    // A frame in the retired version-1 layout (no correlation id: the
+    // length sits at offset 4, the payload at offset 8) is refused the
+    // same way: a typed Error frame, then the close.
+    let mut v1_peer = TcpStream::connect(daemon.addr()).unwrap();
+    v1_peer.write_all(&hello).unwrap();
+    assert!(matches!(
+        read_frame(&mut v1_peer).unwrap(),
+        ReadFrame::Frame(_)
+    ));
+    let v2 = fetch(&["E259"]).encode().unwrap();
+    let payload = &v2[pds_proto::HEADER_LEN..v2.len() - pds_proto::TRAILER_LEN];
+    let mut v1 = b"PD".to_vec();
+    v1.push(1);
+    v1.push(v2[3]);
+    v1.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    v1.extend_from_slice(payload);
+    let crc = pds_proto::crc32(&v1);
+    v1.extend_from_slice(&crc.to_be_bytes());
+    v1_peer.write_all(&v1).unwrap();
+    match read_frame(&mut v1_peer).unwrap() {
+        ReadFrame::Frame(bytes) => match WireMessage::decode(&bytes).unwrap() {
+            WireMessage::Error(e) => {
+                assert_eq!(e.category, "wire", "{e:?}");
+                assert!(e.message.contains("version 1"), "{e:?}");
+            }
+            other => panic!("expected a typed Error frame, got {other:?}"),
+        },
+        other => panic!("expected a typed Error frame, got {other:?}"),
+    }
+    match read_frame(&mut v1_peer) {
+        Ok(ReadFrame::Eof) | Err(_) => {}
+        other => panic!("connection must close after the refusal, got {other:?}"),
+    }
+
     // Other connections are unaffected.
     let mut ok = TcpShardConn::connect(daemon.addr(), 7).unwrap();
     let msg = fetch(&["E259"]);

@@ -13,65 +13,39 @@
 //!    remaining episodes are grouped by the shard hosting their sensitive
 //!    bin, each marked composed (single-round `BinPairRequest`) or
 //!    fine-grained according to that shard's engine.
-//! 3. **Execution** — every planned episode runs through a
-//!    [`pds_cloud::CloudSession`] on its shard (one adversarial-view
-//!    episode, typed `pds-proto` messages on the wire, measured round
-//!    counts); the owner decrypts, drops fake tuples and false positives,
-//!    and merges the two result streams (`qmerge` of §II).
+//! 3. **Execution** — each shard's planned episodes run through
+//!    [`crate::plan::execute_shard`] over that shard's
+//!    [`pds_cloud::ShardLink`]: in process, one
+//!    [`pds_cloud::CloudSession`] episode per step; over TCP, a bounded
+//!    window of composed frames in flight.  The owner decrypts, drops fake
+//!    tuples and false positives, and merges the two result streams
+//!    (`qmerge` of §II).
 //!
 //! All entry points — [`QbExecutor::select`], [`QbExecutor::fetch_bin_pair`]
 //! and [`QbExecutor::run_workload_transported`] — share this one
-//! plan→execute code path, so cache bookkeeping, co-observation tracking
-//! and security-view recording behave identically however a query arrives.
+//! plan→execute code path (a single query is a one-step plan), so cache
+//! bookkeeping, co-observation tracking and security-view recording behave
+//! identically however a query arrives.
 
 use std::collections::HashSet;
 
 use pds_cloud::{
     BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinRoutedCloud, BinTransport, CloudServer,
-    DbOwner, Metrics, RemoteSession, TcpCloudClient,
+    DbOwner, Metrics, ShardLink, TcpCloudClient,
 };
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{PartitionedRelation, Predicate, Relation, Tuple};
 use pds_systems::SecureSelectionEngine;
 
 use crate::binning::{BinPair, QueryBinning};
-use crate::plan::{
-    execute_episode, execute_episode_remote, execute_shard_pipelined, CacheServed, EpisodeResult,
-    EpisodeStep, PlanMode, QueryPlan,
-};
+use crate::plan::{execute_shard, CacheServed, EpisodeStep, PlanMode, QueryPlan, ShardEpisode};
 use crate::planner::{reorder_for_locality, PlannerConfig};
 
-/// Default in-flight window of [`WireMode::Pipelined`]: deep enough to
-/// keep a multi-worker daemon busy, small enough that a torn connection
-/// never has more than a handful of idempotent episodes to replay.
+/// Default in-flight window of episodes per shard connection over
+/// [`BinTransport::Tcp`]: deep enough to keep a multi-worker daemon busy,
+/// small enough that a torn connection never has more than a handful of
+/// idempotent episodes to replay.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 8;
-
-/// How episodes are dispatched over a [`BinTransport::Tcp`] connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// One request on the socket, then block for its response — the
-    /// classic discipline, and the fallback whenever a shard's engine
-    /// cannot split its composed episode into pipeline halves.
-    LockStep,
-    /// Up to `window` composed requests written back-to-back before any
-    /// response is read; responses demultiplex by correlation id and may
-    /// arrive out of order.  Requires a correlation-aware (frame v2)
-    /// daemon and an engine whose
-    /// [`SecureSelectionEngine::pipelines_composed`] holds — other shards
-    /// of the same batch silently run lock-step.
-    Pipelined {
-        /// Maximum in-flight (unanswered) requests per shard connection.
-        window: usize,
-    },
-}
-
-impl Default for WireMode {
-    fn default() -> Self {
-        WireMode::Pipelined {
-            window: DEFAULT_PIPELINE_WINDOW,
-        }
-    }
-}
 
 /// Counters describing one QB selection (used by experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,9 +89,9 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     shard_engines: Vec<E>,
     /// How episodes are shaped on the wire (composed vs fine-grained).
     plan_mode: PlanMode,
-    /// How episodes are dispatched over a TCP transport (lock-step vs
-    /// pipelined with a bounded in-flight window).
-    wire_mode: WireMode,
+    /// Maximum unanswered episodes per shard connection over a TCP
+    /// transport (1 = write one request, then wait for its answer).
+    pipeline_window: usize,
     /// The cost-based planner's per-batch behaviour: episode reordering,
     /// residual predicate, and whether the residual pushes down the wire.
     planner: PlannerConfig,
@@ -147,7 +121,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             engine,
             shard_engines: Vec::new(),
             plan_mode: PlanMode::default(),
-            wire_mode: WireMode::default(),
+            pipeline_window: DEFAULT_PIPELINE_WINDOW,
             planner: PlannerConfig::default(),
             sensitive_attr: None,
             nonsensitive_attr: None,
@@ -206,26 +180,19 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         self.plan_mode = mode;
     }
 
-    /// Sets how episodes are dispatched over TCP (builder form).
-    pub fn with_wire_mode(mut self, mode: WireMode) -> Self {
-        self.wire_mode = mode;
-        self
+    /// Maximum unanswered episodes per shard connection over TCP.
+    pub fn pipeline_window(&self) -> usize {
+        self.pipeline_window
     }
 
-    /// How episodes are dispatched over a TCP transport.
-    pub fn wire_mode(&self) -> WireMode {
-        self.wire_mode
-    }
-
-    /// Sets how episodes are dispatched over a TCP transport:
-    /// [`WireMode::Pipelined`] (the default — a bounded window of composed
-    /// requests in flight per shard, demultiplexed by correlation id) or
-    /// [`WireMode::LockStep`] (one request, one awaited response — the
-    /// pre-pipelining behaviour, kept selectable so the equivalence tests
-    /// and the `experiments pipeline` gate can compare both disciplines on
-    /// identical deployments).
-    pub fn set_wire_mode(&mut self, mode: WireMode) {
-        self.wire_mode = mode;
+    /// Sets how many composed episodes may be in flight per shard
+    /// connection over [`BinTransport::Tcp`] (default
+    /// [`DEFAULT_PIPELINE_WINDOW`]; 0 counts as 1).  Window 1 writes one
+    /// request and waits for its answer; the equivalence tests and the
+    /// `experiments pipeline` gate compare it with deeper windows on
+    /// identical deployments.
+    pub fn set_pipeline_window(&mut self, window: usize) {
+        self.pipeline_window = window;
     }
 
     /// Installs a planner configuration (builder form).
@@ -516,18 +483,22 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Fetches (or serves from cache) the raw result streams of one bin
-    /// pair, executing a single-step plan on a miss.  A **hit** requires
-    /// both bins cached *and* the pair previously co-observed by the cloud
-    /// — anything weaker distorts the cloud's view (lone-bin episodes break
-    /// count indistinguishability; serving a never-co-observed pair erases
-    /// a co-occurrence edge); see `pds_cloud::cache`.  On a miss the
-    /// fetched bins are cached individually, so a pair sharing one bin with
-    /// this one reuses its contents once that pair has been observed once
-    /// itself.  Returns `(nonsensitive, sensitive, cached, rounds)`.
-    fn retrieve_pair_planned<C: BinRoutedCloud>(
+    /// pair, executing a one-step plan through [`execute_shard`] on a miss:
+    /// over `client`'s daemon when one is given, else over the in-process
+    /// shard of `cloud` (which always provides the routing).  A **hit**
+    /// requires both bins cached *and* the pair previously co-observed by
+    /// the cloud — anything weaker distorts the cloud's view (lone-bin
+    /// episodes break count indistinguishability; serving a
+    /// never-co-observed pair erases a co-occurrence edge); see
+    /// `pds_cloud::cache`.  On a miss the fetched bins are cached
+    /// individually, so a pair sharing one bin with this one reuses its
+    /// contents once that pair has been observed once itself.  Returns
+    /// `(nonsensitive, sensitive, cached, rounds)`.
+    fn retrieve_pair<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut C,
+        client: Option<&TcpCloudClient>,
         pair: BinPair,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>, bool, u64)> {
         if let Some((s_tuples, ns_tuples)) = self
@@ -543,58 +514,24 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             .shard_engines
             .get_mut(step.shard)
             .ok_or_else(|| PdsError::Query(format!("no engine for shard {}", step.shard)))?;
-        let result = execute_episode(owner, cloud.shard_mut(step.shard), engine, &step)?;
-        if self.cache.capacity() > 0 {
-            self.cache.store_pair(
-                pair.sensitive_bin,
-                result.outcome.sensitive.clone(),
-                pair.nonsensitive_bin,
-                result.outcome.nonsensitive.clone(),
-            );
-        }
-        Ok((
-            result.outcome.nonsensitive,
-            result.outcome.sensitive,
-            false,
-            result.rounds,
-        ))
-    }
-
-    /// [`QbExecutor::retrieve_pair_planned`] over a TCP client: the single
-    /// miss episode travels as frames to the shard daemon hosting the
-    /// sensitive bin, with the local `cloud` consulted only for routing.
-    fn retrieve_pair_tcp<C: BinRoutedCloud>(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &C,
-        client: &TcpCloudClient,
-        pair: BinPair,
-    ) -> Result<(Vec<Tuple>, Vec<Tuple>, bool, u64)> {
-        if let Some((s_tuples, ns_tuples)) = self
-            .cache
-            .get_pair(pair.sensitive_bin, pair.nonsensitive_bin)
-        {
-            owner.note_bin_cache(true);
-            return Ok((ns_tuples, s_tuples, true, 0));
-        }
-        owner.note_bin_cache(false);
-        let step = self.compile_step(cloud, 0, pair);
-        let engine = self
-            .shard_engines
-            .get_mut(step.shard)
-            .ok_or_else(|| PdsError::Query(format!("no engine for shard {}", step.shard)))?;
-        let mut conn = client.checkout(step.shard)?;
-        let mut session = RemoteSession::new(&mut conn);
-        let outcome = execute_episode_remote(owner, &mut session, engine, &step);
-        drop(session);
-        let result = match outcome {
-            Ok(result) => {
-                client.checkin(step.shard, conn);
-                result
-            }
-            // An errored connection may be desynchronised — drop it
-            // instead of returning it to the pool.
-            Err(e) => return Err(e),
+        let link = match client {
+            Some(client) => ShardLink::Tcp {
+                client,
+                shard: step.shard,
+            },
+            None => ShardLink::Local(cloud.shard_mut(step.shard)),
+        };
+        let episodes = execute_shard(
+            owner,
+            link,
+            engine,
+            std::slice::from_ref(&step),
+            self.pipeline_window,
+        )?;
+        let Some((_, _, result)) = episodes.into_iter().next() else {
+            return Err(PdsError::Query(
+                "a one-step plan returned no episode".into(),
+            ));
         };
         if self.cache.capacity() > 0 {
             self.cache.store_pair(
@@ -635,8 +572,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
 
         let sensitive_requested = self.binning.sensitive_bin(pair.sensitive_bin).len();
         let nonsensitive_requested = self.binning.nonsensitive_bin_len(pair.nonsensitive_bin);
-        let (ns_tuples, s_tuples, cached, rounds) =
-            self.retrieve_pair_planned(owner, cloud, pair)?;
+        let (ns_tuples, s_tuples, cached, rounds) = self.retrieve_pair(owner, cloud, None, pair)?;
 
         // qmerge: drop fake tuples (recognised by their ids, which only the
         // owner knows), keep only tuples matching the actual query value,
@@ -681,8 +617,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
         let sensitive_requested = self.binning.sensitive_bin(pair.sensitive_bin).len();
         let nonsensitive_requested = self.binning.nonsensitive_bin_len(pair.nonsensitive_bin);
-        let (ns_tuples, s_tuples, cached, rounds) =
-            self.retrieve_pair_planned(owner, cloud, pair)?;
+        let (ns_tuples, s_tuples, cached, rounds) = self.retrieve_pair(owner, cloud, None, pair)?;
         let before = ns_tuples.len() + s_tuples.len();
         let residual = self.planner.residual.as_ref();
         let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
@@ -760,10 +695,11 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// With [`BinTransport::Tcp`], the shards live in per-shard
     /// [`pds_cloud::ShardDaemon`] processes behind the transport's pooled
     /// client: each shard's episode stream runs on its own OS thread over a
-    /// checked-out connection, every episode travelling as `pds-proto`
-    /// frames through a [`RemoteSession`].  The local `cloud` then only
-    /// provides the bin→shard routing; its in-process shard state is never
-    /// touched.  The client must authenticate as this executor's tenant.
+    /// checked-out connection, up to [`QbExecutor::pipeline_window`]
+    /// composed episodes in flight as `pds-proto` frames.  The local
+    /// `cloud` then only provides the bin→shard routing; its in-process
+    /// shard state is never touched.  The client must authenticate as this
+    /// executor's tenant.
     pub fn run_workload_transported<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -826,67 +762,42 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             );
         }
 
-        // Fan the per-shard episode streams out.  Locally (sequential,
-        // threaded, simulated) each task owns its episode steps, the
-        // disjoint `&mut` of its engine, and a forked owner (same keys,
-        // private counters) so it is `Send` as a whole; over TCP the same
-        // per-shard tasks drive checked-out daemon connections instead.
-        let per_shard_steps = std::mem::take(&mut plan.per_shard);
-        let (slots, wall_clock_sec, sim_wall_clock_sec, mut rounds) = match transport {
-            BinTransport::Tcp(client) => {
-                let (slots, wall, rounds) = tcp_fan_out(
-                    owner,
-                    &mut self.shard_engines,
-                    client,
-                    per_shard_steps,
-                    self.wire_mode,
-                );
-                (slots, wall, None, rounds)
+        // Fan the per-shard episode streams out: each task owns its
+        // episode steps, the disjoint `&mut` of its engine, and a forked
+        // owner (same keys, private counters and randomness) so it is
+        // `Send` as a whole, and runs them over the link the transport
+        // hands it — its in-process shard or its shard daemon.
+        let window = self.pipeline_window;
+        let mut tasks: Vec<Option<_>> = Vec::with_capacity(shard_count);
+        for (engine, steps) in self
+            .shard_engines
+            .iter_mut()
+            .zip(std::mem::take(&mut plan.per_shard))
+        {
+            if steps.is_empty() {
+                tasks.push(None);
+                continue;
             }
-            local => {
-                let mut tasks: Vec<Option<_>> = Vec::with_capacity(shard_count);
-                for (engine, (shard_idx, steps)) in self
-                    .shard_engines
-                    .iter_mut()
-                    .zip(per_shard_steps.into_iter().enumerate())
-                {
-                    if steps.is_empty() {
-                        tasks.push(None);
-                        continue;
-                    }
-                    let mut task_owner = owner.fork(shard_idx as u64 + 1);
-                    tasks.push(Some(move |shard: &mut CloudServer| {
-                        let mut episodes = Vec::with_capacity(steps.len());
-                        for step in steps {
-                            match execute_episode(&mut task_owner, shard, engine, &step) {
-                                Ok(res) => episodes.push((step.index, step.pair, res)),
-                                Err(e) => return (*task_owner.metrics(), Err(e)),
-                            }
-                        }
-                        (*task_owner.metrics(), Ok(episodes))
-                    }));
-                }
-                let report = local.dispatch(cloud.shards_mut(), tasks);
-                let rounds = report.total_rounds();
-                (
-                    report.per_shard,
-                    report.wall_clock_sec,
-                    report.sim_wall_clock_sec,
-                    rounds,
-                )
-            }
-        };
+            let mut task_owner = owner.fork();
+            tasks.push(Some(move |link: ShardLink<'_>| {
+                let episodes = execute_shard(&mut task_owner, link, engine, &steps, window);
+                (*task_owner.metrics(), episodes)
+            }));
+        }
+        let report = transport.dispatch(cloud.shards_mut(), tasks);
 
         // Fold every fork's counters back before surfacing any error, so a
         // failed shard's work is still accounted for.
         let mut outcomes = Vec::new();
-        for slot in slots.into_iter().flatten() {
-            let (fork_metrics, outcome): (Metrics, Result<Vec<_>>) = slot;
+        for slot in report.per_shard.into_iter().flatten() {
+            let (fork_metrics, outcome): (Metrics, Result<Vec<ShardEpisode>>) = slot;
             owner.absorb_metrics(&fork_metrics);
             outcomes.push(outcome);
         }
+        let mut rounds = 0;
         for outcome in outcomes {
             for (idx, pair, res) in outcome? {
+                rounds += res.rounds;
                 if self.cache.capacity() > 0 {
                     self.cache.store_pair(
                         pair.sensitive_bin,
@@ -909,13 +820,15 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
 
         // Waiters look the cache up now that the fan-out has populated it.
         // A waiter can still miss when a later store in the same batch
-        // evicted its bins (tiny capacities); it then fetches sequentially,
-        // exactly as the select path would.
+        // evicted its bins (tiny capacities); it then fetches sequentially
+        // over the batch's transport, exactly as the select path would.
+        let client = match transport {
+            BinTransport::Tcp(client) => Some(client),
+            _ => None,
+        };
         for (idx, pair) in plan.waiters {
-            let (ns_tuples, s_tuples, cached, waiter_rounds) = match transport {
-                BinTransport::Tcp(client) => self.retrieve_pair_tcp(owner, cloud, client, pair)?,
-                _ => self.retrieve_pair_planned(owner, cloud, pair)?,
-            };
+            let (ns_tuples, s_tuples, cached, waiter_rounds) =
+                self.retrieve_pair(owner, cloud, client, pair)?;
             if cached {
                 cache_hits += 1;
             } else {
@@ -935,8 +848,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
 
         Ok(TransportedRun {
             answers,
-            wall_clock_sec,
-            sim_wall_clock_sec,
+            wall_clock_sec: report.wall_clock_sec,
+            sim_wall_clock_sec: report.sim_wall_clock_sec,
             cache_hits,
             cache_misses,
             rounds,
@@ -1030,107 +943,6 @@ pub struct TransportedRun {
     /// hits contribute none; composed episodes one each; fine-grained
     /// episodes as many as their back-end's §V-B procedure needs).
     pub rounds: u64,
-}
-
-/// One shard task's output: the fork's final counters plus its episode
-/// results (or the first error), the same shape
-/// [`BinTransport::dispatch`]'s closures produce so both fan-outs share
-/// the executor's fold/merge tail.
-type ShardSlot = (Metrics, Result<Vec<(usize, BinPair, EpisodeResult)>>);
-
-/// The remote twin of [`BinTransport::dispatch`] for
-/// [`BinTransport::Tcp`]: one scoped OS thread per shard with work, each
-/// checking a pooled daemon connection out, streaming its episodes as
-/// `pds-proto` frames through a [`RemoteSession`], and checking the
-/// connection back in on success (an errored connection may be
-/// desynchronised and is dropped instead).  Returns the per-shard slots,
-/// the measured wall-clock seconds, and the total owner↔cloud rounds
-/// counted client-side (one per framed exchange).
-///
-/// With [`WireMode::Pipelined`], a shard whose engine splits its composed
-/// episodes ([`SecureSelectionEngine::pipelines_composed`]) and whose
-/// steps are all composed runs [`execute_shard_pipelined`] instead: the
-/// whole episode stream written ahead under a bounded in-flight window,
-/// responses demultiplexed by correlation id.  Shards that don't qualify
-/// fall back to lock-step within the same batch.
-fn tcp_fan_out<E: SecureSelectionEngine>(
-    owner: &mut DbOwner,
-    engines: &mut [E],
-    client: &TcpCloudClient,
-    per_shard_steps: Vec<Vec<EpisodeStep>>,
-    mode: WireMode,
-) -> (Vec<Option<ShardSlot>>, f64, u64) {
-    let mut tasks: Vec<Option<_>> = Vec::with_capacity(per_shard_steps.len());
-    for (engine, (shard_idx, steps)) in engines
-        .iter_mut()
-        .zip(per_shard_steps.into_iter().enumerate())
-    {
-        if steps.is_empty() {
-            tasks.push(None);
-            continue;
-        }
-        let mut task_owner = owner.fork(shard_idx as u64 + 1);
-        let client = client.clone();
-        tasks.push(Some(move || -> (Metrics, u64, Result<Vec<_>>) {
-            if let WireMode::Pipelined { window } = mode {
-                if engine.pipelines_composed() && steps.iter().all(|s| s.composed) {
-                    return match execute_shard_pipelined(
-                        &mut task_owner,
-                        &client,
-                        shard_idx,
-                        engine,
-                        &steps,
-                        window,
-                    ) {
-                        Ok((episodes, rounds)) => (*task_owner.metrics(), rounds, Ok(episodes)),
-                        Err(e) => (*task_owner.metrics(), 0, Err(e)),
-                    };
-                }
-            }
-            let mut conn = match client.checkout(shard_idx) {
-                Ok(conn) => conn,
-                Err(e) => return (*task_owner.metrics(), 0, Err(e)),
-            };
-            let mut session = RemoteSession::new(&mut conn);
-            let mut episodes = Vec::with_capacity(steps.len());
-            for step in &steps {
-                match execute_episode_remote(&mut task_owner, &mut session, engine, step) {
-                    Ok(res) => episodes.push((step.index, step.pair, res)),
-                    Err(e) => {
-                        let rounds = session.total_rounds();
-                        return (*task_owner.metrics(), rounds, Err(e));
-                    }
-                }
-            }
-            let rounds = session.total_rounds();
-            drop(session);
-            client.checkin(shard_idx, conn);
-            (*task_owner.metrics(), rounds, Ok(episodes))
-        }));
-    }
-    let start = std::time::Instant::now();
-    let joined: Vec<Option<(Metrics, u64, Result<Vec<_>>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| task.map(|f| scope.spawn(f)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("remote shard task panicked")))
-            .collect()
-    });
-    let wall_clock_sec = start.elapsed().as_secs_f64();
-    let mut rounds = 0u64;
-    let slots = joined
-        .into_iter()
-        .map(|slot| {
-            slot.map(|(metrics, shard_rounds, outcome)| {
-                rounds += shard_rounds;
-                (metrics, outcome)
-            })
-        })
-        .collect();
-    (slots, wall_clock_sec, rounds)
 }
 
 /// `qmerge` of §II for a point query: drop fakes (by id and by marker),
@@ -1650,6 +1462,152 @@ mod tests {
                 pds_adversary::check_sharded_partitioned_security(&router.adversarial_views());
             assert!(report.is_secure(), "{transport:?}: {report:?}");
         }
+    }
+
+    /// `TransportedRun::rounds` — summed from the per-episode rounds the
+    /// driver reports — must equal what the shards themselves counted, on
+    /// every in-process transport, for fine-grained (several rounds per
+    /// episode) and composed (one round) engines alike, and with a cache so
+    /// small that in-batch waiters miss and fetch again.
+    fn assert_rounds_match_shard_metrics<E: SecureSelectionEngine>(engine: E, multi_round: bool) {
+        use pds_cloud::{BinTransport, ShardRouter};
+
+        let parts = employee_parts();
+        let attr = parts.sensitive.schema().attr_id("EId").unwrap();
+        let workload = parts.sensitive.distinct_values(attr);
+        let doubled: Vec<Value> = workload.iter().chain(workload.iter()).cloned().collect();
+        for transport in [
+            BinTransport::Sequential,
+            BinTransport::Threaded,
+            BinTransport::Simulated(NetworkModel::lan()),
+        ] {
+            for capacity in [0, 1] {
+                let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
+                let mut exec =
+                    QbExecutor::new(binning, engine.fork()).with_cache_capacity(capacity);
+                let mut owner = DbOwner::new(5);
+                let mut router = ShardRouter::new(3, NetworkModel::paper_wan(), 11).unwrap();
+                exec.outsource(&mut owner, &mut router, &parts).unwrap();
+                let shard_rounds = |r: &ShardRouter| -> u64 {
+                    r.shards().iter().map(|s| s.metrics().round_trips).sum()
+                };
+                let before = shard_rounds(&router);
+                let run = exec
+                    .run_workload_transported(&mut owner, &mut router, &doubled, &transport)
+                    .unwrap();
+                let delta = shard_rounds(&router) - before;
+                let label = format!("{} {transport:?} capacity {capacity}", engine.name());
+                assert_eq!(run.rounds, delta, "{label}");
+                assert!(run.cache_misses > 0, "{label}");
+                if multi_round {
+                    assert!(
+                        run.rounds > run.cache_misses as u64,
+                        "{label}: fine-grained episodes take several rounds"
+                    );
+                } else {
+                    assert_eq!(run.rounds, run.cache_misses as u64, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transported_rounds_equal_the_shards_round_trips() {
+        assert_rounds_match_shard_metrics(NonDetScanEngine::new(), true);
+        assert_rounds_match_shard_metrics(pds_systems::DeterministicIndexEngine::new(), false);
+    }
+
+    /// Opaque with a probe: before each episode it encrypts the bin's
+    /// first value with the episode's owner, exactly as Opaque encrypts
+    /// its tokens, and records the 8-byte nonce.  The probe draws from the
+    /// same randomness stream the episode's tokens come from, so a
+    /// repeated probe nonce means repeated token nonces.
+    struct NonceProbe {
+        inner: pds_systems::ObliviousScanEngine,
+        nonces: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl SecureSelectionEngine for NonceProbe {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn outsource(
+            &mut self,
+            owner: &mut DbOwner,
+            cloud: &mut CloudServer,
+            relation: &Relation,
+            attr: AttrId,
+        ) -> Result<()> {
+            self.inner.outsource(owner, cloud, relation, attr)
+        }
+        fn select(
+            &mut self,
+            owner: &mut DbOwner,
+            cloud: &mut CloudServer,
+            values: &[Value],
+        ) -> Result<Vec<Tuple>> {
+            self.inner.select(owner, cloud, values)
+        }
+        fn cost_profile(&self) -> pds_systems::CostProfile {
+            self.inner.cost_profile()
+        }
+        fn fork(&self) -> Self {
+            NonceProbe {
+                inner: self.inner.fork(),
+                nonces: self.nonces.clone(),
+            }
+        }
+        fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine> {
+            Box::new(self.fork())
+        }
+        fn composes_episodes(&self) -> bool {
+            true
+        }
+        fn select_bin_episode(
+            &mut self,
+            owner: &mut DbOwner,
+            session: &mut pds_cloud::CloudSession<'_>,
+            request: &BinEpisodeRequest,
+        ) -> Result<pds_systems::BinEpisodeOutcome> {
+            let token = owner.encrypt_value(&request.sensitive_values[0]);
+            let nonce = token.as_bytes()[..8].to_vec();
+            self.nonces.lock().unwrap().push(nonce);
+            self.inner.select_bin_episode(owner, session, request)
+        }
+    }
+
+    #[test]
+    fn repeated_opaque_batches_never_reuse_a_token_nonce() {
+        use pds_cloud::ShardRouter;
+
+        let parts = employee_parts();
+        let attr = parts.sensitive.schema().attr_id("EId").unwrap();
+        let workload = parts.sensitive.distinct_values(attr);
+        let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
+        let nonces = std::sync::Arc::default();
+        let engine = NonceProbe {
+            inner: pds_systems::oblivious::opaque_sim(),
+            nonces: std::sync::Arc::clone(&nonces),
+        };
+        let mut exec = QbExecutor::new(binning, engine);
+        let mut owner = DbOwner::new(5);
+        let mut router = ShardRouter::new(2, NetworkModel::paper_wan(), 11).unwrap();
+        exec.outsource(&mut owner, &mut router, &parts).unwrap();
+        // The same batch twice: every shard's owner is forked afresh per
+        // batch, and no fork may replay another's nonce stream.
+        for _ in 0..2 {
+            exec.run_workload_transported(
+                &mut owner,
+                &mut router,
+                &workload,
+                &BinTransport::Threaded,
+            )
+            .unwrap();
+        }
+        let nonces = nonces.lock().unwrap();
+        assert_eq!(nonces.len(), 2 * workload.len());
+        let distinct: HashSet<&Vec<u8>> = nonces.iter().collect();
+        assert_eq!(distinct.len(), nonces.len(), "a token nonce was reused");
     }
 
     #[test]

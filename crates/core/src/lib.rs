@@ -30,11 +30,12 @@
 //! * [`executor`] — the end-to-end partitioned execution: outsourcing both
 //!   parts, rewriting each query into its bin pair, running the encrypted
 //!   and clear-text sub-queries, and merging/filtering at the owner;
-//! * [`plan`] — the plan→session pipeline: batches compile into
+//! * [`plan`] — the plan→execute pipeline: batches compile into
 //!   [`plan::QueryPlan`]s of per-shard episode steps (composed one-round
 //!   `BinPairRequest`s where the back-end supports them, fine-grained
-//!   multi-round episodes otherwise) executed through
-//!   [`pds_cloud::CloudSession`]s;
+//!   multi-round episodes otherwise), and one function,
+//!   [`plan::execute_shard`], runs a shard's steps over its in-process or
+//!   TCP [`pds_cloud::ShardLink`];
 //! * [`planner`] — the cost-based optimizer over that pipeline: a
 //!   calibrated [`planner::CostModel`] picks each shard's back-end under a
 //!   workload-skew security constraint, residual predicates push below the
@@ -76,7 +77,7 @@ pub mod shape;
 
 pub use binning::{BinAssignment, BinPair, BinningConfig, QueryBinning};
 pub use cost::EtaModel;
-pub use executor::{QbExecutor, SelectionStats, TransportedRun, WireMode, DEFAULT_PIPELINE_WINDOW};
-pub use plan::{execute_shard_pipelined, EpisodeStep, PlanMode, QueryPlan};
+pub use executor::{QbExecutor, SelectionStats, TransportedRun, DEFAULT_PIPELINE_WINDOW};
+pub use plan::{execute_shard, EpisodeStep, PlanMode, QueryPlan};
 pub use planner::{choose_engines, CostModel, EngineCandidate, PlannerConfig, ShardPlan};
 pub use shape::BinShape;

@@ -1,32 +1,35 @@
-//! Query plans: the compiled form of a Query Binning batch.
+//! Query plans: the compiled form of a Query Binning batch, and the one
+//! function that executes them.
 //!
-//! The executor no longer drives the cloud through scattered ad-hoc method
-//! calls.  Every entry point — [`crate::QbExecutor::select`],
+//! Every entry point of the executor — [`crate::QbExecutor::select`],
 //! [`crate::QbExecutor::fetch_bin_pair`],
-//! [`crate::QbExecutor::run_workload_transported`] — first **compiles** the
-//! batch into a [`QueryPlan`] and then **executes** it:
+//! [`crate::QbExecutor::run_workload_transported`] — first **compiles** its
+//! queries into a [`QueryPlan`] and then **executes** each shard's steps
+//! through [`execute_shard`] over that shard's [`ShardLink`]:
 //!
 //! ```text
-//! values ──compile──► QueryPlan ──execute──► answers
+//! values ──compile──► QueryPlan ──execute_shard──► answers
 //!                      │ cache_served   (answered owner-side, 0 rounds)
 //!                      │ per_shard[s]   (EpisodeSteps, one per bin pair)
 //!                      │ waiters        (in-batch repeats, resolved last)
 //!                      ▼
-//!             CloudSession(shard s) ◄── typed pds-proto messages
+//!             ShardLink(shard s) ── in-process: CloudSession, one episode per step
+//!                                └─ TCP: a window of composed frames in flight
 //! ```
 //!
-//! Each [`EpisodeStep`] runs as one adversarial-view episode through a
-//! [`CloudSession`] on the shard hosting its sensitive bin.  A step is
-//! either **composed** — the back-end answers the whole bin-pair request in
-//! a single `BinPairRequest`/`BinPayload` round — or **fine-grained**, the
+//! Each [`EpisodeStep`] is one adversarial-view episode on the shard
+//! hosting its sensitive bin.  A step is either **composed** — the back-end
+//! answers the whole bin-pair request in a single
+//! `BinPairRequest`/`BinPayload` round — or **fine-grained**, the
 //! multi-round §V-B procedure, chosen per shard from the engine's
 //! [`SecureSelectionEngine::composes_episodes`] capability and the
-//! executor's [`PlanMode`].
+//! executor's [`PlanMode`].  Fine-grained steps need the server in
+//! process; over TCP they are refused with a typed error.
 
 use std::collections::VecDeque;
 
 use pds_cloud::{
-    BinEpisodeRequest, CloudServer, CloudSession, CorrelationWindow, DbOwner, RemoteSession,
+    BinEpisodeRequest, CloudServer, CloudSession, CorrelationWindow, DbOwner, ShardLink,
     TcpCloudClient,
 };
 use pds_common::{PdsError, Result};
@@ -125,11 +128,68 @@ pub struct EpisodeResult {
     pub rounds: u64,
 }
 
-/// Executes one planned episode against its shard: opens a
-/// [`CloudSession`] episode, runs the composed or fine-grained path, and
-/// reports the measured round count.  Free function so the threaded
-/// per-shard fan-out can call it without borrowing the whole executor.
-pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
+/// One executed step: its answer slot, its bin pair and its outcome.
+pub type ShardEpisode = (usize, BinPair, EpisodeResult);
+
+/// Executes one shard's planned steps over its link — the one episode
+/// loop every entry point and every transport runs.
+///
+/// * **In process** ([`ShardLink::Local`]) each step runs as one
+///   [`CloudSession`] episode, composed or fine-grained, with its rounds
+///   measured from the shard's counters.
+/// * **Over TCP** ([`ShardLink::Tcp`]) up to `window` composed requests
+///   are framed and written back-to-back (vectored writes, no response
+///   awaited in between), and responses are matched back to their steps
+///   by correlation id in whatever order the daemon's worker pool
+///   finishes them.  Each episode's owner-side work is split across the
+///   engine's two halves — [`SecureSelectionEngine::composed_wire_tags`]
+///   before the uplink, [`SecureSelectionEngine::finish_composed`] after
+///   the downlink — so the client keeps issuing requests while earlier
+///   responses are still being computed cloud-side.  `window = 1` is the
+///   write-then-read discipline; every TCP episode is one round.
+///
+/// TCP failure handling:
+///
+/// * a step that is not composed, or an engine that cannot split its
+///   composed episode, is a typed `Wire` error before anything is sent —
+///   those episodes need the server in process;
+/// * a transported **error frame** aborts the shard — the daemon refused
+///   the episode, and replaying it would be refused again;
+/// * a **transport failure** (daemon died mid-batch, stream torn) triggers
+///   one eager [`TcpCloudClient::reconnect`]; the unanswered episodes are
+///   replayed on the fresh connection (safe: composed bin-pair episodes
+///   are idempotent reads).  A second failure aborts with a typed error;
+/// * a response with an **unknown correlation id** (0 included) is a
+///   protocol violation: typed error, no replay — a stream that
+///   misattributes responses cannot be trusted with a retry.
+pub fn execute_shard<E: SecureSelectionEngine + ?Sized>(
+    owner: &mut DbOwner,
+    link: ShardLink<'_>,
+    engine: &mut E,
+    steps: &[EpisodeStep],
+    window: usize,
+) -> Result<Vec<ShardEpisode>> {
+    match link {
+        ShardLink::Local(shard) => steps
+            .iter()
+            .map(|step| {
+                Ok((
+                    step.index,
+                    step.pair,
+                    execute_episode(owner, shard, engine, step)?,
+                ))
+            })
+            .collect(),
+        ShardLink::Tcp { client, shard } => {
+            execute_pipelined(owner, client, shard, engine, steps, window)
+        }
+    }
+}
+
+/// Runs one planned episode in process: opens a [`CloudSession`] episode,
+/// runs the composed or fine-grained path, and reports the measured round
+/// count.
+fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     owner: &mut DbOwner,
     shard: &mut CloudServer,
     engine: &mut E,
@@ -153,59 +213,33 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     })
 }
 
-/// Executes one planned episode over a socket-backed
-/// [`RemoteSession`] — the TCP twin of [`execute_episode`].  The shard
-/// lives in a [`pds_cloud::ShardDaemon`]'s address space, so only
-/// **composed** steps can travel: a fine-grained step would need direct
-/// in-process server access, which the channel reports by construction
-/// (`local_server()` is `None`), and rejecting it here keeps the error
-/// message about the *plan* rather than a failed call mid-episode.
-/// One shard's pipelined batch results: each episode's workload slot,
-/// its bin pair and its engine outcome, plus the number of receive
-/// rounds the batch took (the lock-step discipline would take one per
-/// episode).
-pub type PipelinedBatch = (Vec<(usize, BinPair, EpisodeResult)>, u64);
-
-/// Executes one shard's planned episodes **pipelined** over a daemon
-/// connection: up to `window` composed requests are framed and written
-/// back-to-back (vectored writes, no response awaited in between), and
-/// responses are matched back to their episodes by correlation id in
-/// whatever order the daemon's worker pool finishes them.  Each episode's
-/// owner-side work is split across the engine's two pipeline halves —
-/// [`SecureSelectionEngine::composed_wire_tags`] before the uplink,
-/// [`SecureSelectionEngine::finish_composed`] after the downlink — so the
-/// client keeps issuing requests while earlier responses are still being
-/// computed cloud-side.
-///
-/// The executor only chooses this path when every step is composed and the
-/// shard's engine reports [`SecureSelectionEngine::pipelines_composed`];
-/// a step that nevertheless cannot split is a typed plan error.
-///
-/// Failure handling:
-///
-/// * a transported **error frame** aborts the shard — the daemon refused
-///   the episode, and replaying it would be refused again;
-/// * a **transport failure** (daemon died mid-batch, stream torn) triggers
-///   one eager [`TcpCloudClient::reconnect`]; the unanswered episodes are
-///   replayed on the fresh connection (safe: composed bin-pair episodes
-///   are idempotent reads).  A second failure aborts with a typed error;
-/// * a response with an **unknown or uncorrelated id** is a protocol
-///   violation: typed error, no replay — a stream that misattributes
-///   responses cannot be trusted with a retry.
-pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
+/// The TCP half of [`execute_shard`]: the bounded in-flight window over
+/// one daemon connection.
+fn execute_pipelined<E: SecureSelectionEngine + ?Sized>(
     owner: &mut DbOwner,
     client: &TcpCloudClient,
     shard: usize,
     engine: &mut E,
     steps: &[EpisodeStep],
     window: usize,
-) -> Result<PipelinedBatch> {
+) -> Result<Vec<ShardEpisode>> {
     let _span = pds_obs::obs_span("episode.pipelined");
+    let name = engine.name();
+    let wire_only = || {
+        PdsError::Wire(format!(
+            "the {name} back-end plans fine-grained or engine-resolved episodes, which \
+             need in-process server access; only composed episodes resolved by the \
+             cloud's tag index travel over BinTransport::Tcp"
+        ))
+    };
+    if steps.iter().any(|s| !s.composed) {
+        return Err(wire_only());
+    }
     let window = window.max(1);
     let mut conn = client.checkout(shard)?;
     let mut inflight = CorrelationWindow::new();
     let mut queue: VecDeque<usize> = (0..steps.len()).collect();
-    let mut episodes: Vec<(usize, BinPair, EpisodeResult)> = Vec::with_capacity(steps.len());
+    let mut episodes: Vec<ShardEpisode> = Vec::with_capacity(steps.len());
     let mut reconnected = false;
 
     while !queue.is_empty() || !inflight.is_empty() {
@@ -215,29 +249,14 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
             let step = &steps[slot];
             let tags = engine
                 .composed_wire_tags(owner, &step.request)?
-                .ok_or_else(|| {
-                    PdsError::Query(format!(
-                        "the {} back-end cannot split composed episodes; the plan \
-                         should not have chosen pipelined dispatch",
-                        engine.name()
-                    ))
-                })?;
+                .ok_or_else(wire_only)?;
             let corr = conn.enqueue_bin_pair(&step.request, tags)?;
             inflight.track(corr, slot)?;
         }
-        if let Err(e) = conn.flush() {
-            if reconnected {
-                return Err(e);
-            }
-            reconnected = true;
-            for slot in inflight.drain_slots().into_iter().rev() {
-                queue.push_front(slot);
-            }
-            conn = client.reconnect(shard)?;
-            continue;
-        }
-        // Drain one response; out-of-order completion is expected.
-        let (corr, answer) = match conn.recv_bin_pair() {
+        // Put the window on the socket and drain one response;
+        // out-of-order completion is expected.
+        let received = conn.flush().and_then(|()| conn.recv_bin_pair());
+        let (corr, answer) = match received {
             Ok(ok) => ok,
             Err(e) => {
                 if reconnected {
@@ -251,52 +270,12 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
                 continue;
             }
         };
-        if corr == 0 {
-            return Err(PdsError::Wire(
-                "daemon answered without a correlation id (v1 frames); pipelined \
-                 dispatch needs a correlation-aware daemon"
-                    .into(),
-            ));
-        }
         let slot = inflight.resolve(corr)?;
         let step = &steps[slot];
         let (nonsensitive, rows) = answer?;
         let outcome = engine.finish_composed(owner, &step.request, nonsensitive, rows)?;
         episodes.push((step.index, step.pair, EpisodeResult { outcome, rounds: 1 }));
     }
-    let rounds = episodes.len() as u64;
     client.checkin(shard, conn);
-    Ok((episodes, rounds))
-}
-
-/// Runs one composed episode over a lock-step [`RemoteSession`]: the
-/// write-then-read discipline `execute_shard_pipelined` replaces when the
-/// back-end can split its composed episode.  Fine-grained multi-round
-/// engines are refused with a typed error — their chatty protocols need
-/// in-process server access.
-pub fn execute_episode_remote<E: SecureSelectionEngine + ?Sized>(
-    owner: &mut DbOwner,
-    session: &mut RemoteSession<'_>,
-    engine: &mut E,
-    step: &EpisodeStep,
-) -> Result<EpisodeResult> {
-    if !step.composed {
-        return Err(PdsError::Wire(format!(
-            "the {} back-end plans fine-grained multi-round episodes, which \
-             need in-process server access; only composed single-round \
-             episodes travel over BinTransport::Tcp",
-            engine.name()
-        )));
-    }
-    let _span = pds_obs::obs_span("episode.execute_remote");
-    session.begin_episode();
-    let outcome = {
-        let _engine_span = pds_obs::obs_span("engine.call");
-        engine.select_bin_episode(owner, session, &step.request)
-    };
-    let rounds = session.end_episode();
-    Ok(EpisodeResult {
-        outcome: outcome?,
-        rounds,
-    })
+    Ok(episodes)
 }

@@ -7,20 +7,17 @@
 //! demux: byte-identical answers whatever the in-flight window, recovery
 //! from a mid-batch connection death with exactly one eager reconnect,
 //! and typed errors (never misattributed answers) when a rogue daemon
-//! replies with duplicate, unknown, or missing correlation ids.
+//! replies with duplicate, unknown, or zero correlation ids.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 
 use pds_cloud::{
     BinEpisodeRequest, BinRoutedCloud, BinTransport, CloudServer, DbOwner, NetworkModel,
-    ServiceConfig, ShardDaemon, ShardRouter, TcpCloudClient,
+    ServiceConfig, ShardDaemon, ShardLink, ShardRouter, TcpCloudClient,
 };
 use pds_common::{PdsError, TupleId, Value};
-use pds_core::{
-    execute_shard_pipelined, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning,
-    WireMode,
-};
+use pds_core::{execute_shard, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning};
 use pds_proto::{read_frame, BinPayload, ReadFrame, WireMessage};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
@@ -309,7 +306,7 @@ enum RogueMode {
     Duplicate,
     /// Answer with an id that was never issued.
     Unknown,
-    /// Answer with correlation id 0, like a pre-correlation v1 daemon.
+    /// Answer with correlation id 0, which no request ever carries.
     Uncorrelated,
 }
 
@@ -421,10 +418,14 @@ fn out_of_order_responses_are_matched_to_the_right_episodes() {
     let client = TcpCloudClient::new(7, vec![addr]);
     let (mut owner, mut engine) = outsourced_det();
     let steps = pipeline_steps(4);
-    let (episodes, rounds) =
-        execute_shard_pipelined(&mut owner, &client, 0, &mut engine, &steps, 4).unwrap();
+    let link = ShardLink::Tcp {
+        client: &client,
+        shard: 0,
+    };
+    let episodes = execute_shard(&mut owner, link, &mut engine, &steps, 4).unwrap();
     daemon.join().unwrap();
 
+    let rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
     assert_eq!(rounds, 4);
     // Responses arrived in reverse, and the demux must have attributed
     // each to its own episode: the marker tuple the rogue daemon built
@@ -451,14 +452,17 @@ fn rogue_correlation_ids_are_typed_errors_not_misattributed_answers() {
     for (mode, needle) in [
         (RogueMode::Duplicate, "correlation id"),
         (RogueMode::Unknown, "correlation id"),
-        (RogueMode::Uncorrelated, "without a correlation id"),
+        (RogueMode::Uncorrelated, "correlation id"),
     ] {
         let (addr, daemon) = rogue_daemon(mode, 2);
         let client = TcpCloudClient::new(7, vec![addr]);
         let (mut owner, mut engine) = outsourced_det();
         let steps = pipeline_steps(2);
-        let err =
-            execute_shard_pipelined(&mut owner, &client, 0, &mut engine, &steps, 2).unwrap_err();
+        let link = ShardLink::Tcp {
+            client: &client,
+            shard: 0,
+        };
+        let err = execute_shard(&mut owner, link, &mut engine, &steps, 2).unwrap_err();
         daemon.join().unwrap();
         assert!(matches!(err, PdsError::Wire(_)), "{mode:?}: {err:?}");
         assert!(
@@ -527,11 +531,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Seed-replayable (`PROPTEST_SEED`) equivalence: whatever the query
-    /// order and whatever the in-flight window, pipelined dispatch
-    /// returns answers byte-identical to the lock-step discipline on the
-    /// same daemons.
+    /// order and whatever the in-flight window — window 1 writes one
+    /// request and waits for its answer — TCP answers are byte-identical
+    /// to the in-process threaded transport's.  A last pass with room for
+    /// one cached bin (a pair never fits, so nothing hits) sends every
+    /// in-batch repeat back over TCP as a waiter that missed.
     #[test]
-    fn pipelined_answers_match_lock_step_for_any_window(
+    fn tcp_answers_match_threaded_for_any_window(
         seed in proptest::arbitrary::any::<u64>(),
         window in 1usize..=16,
     ) {
@@ -540,34 +546,51 @@ proptest! {
         const SHARDS: usize = 2;
         let mut tenants = vec![tenant_deployment(1, SHARDS, DeterministicIndexEngine::new())];
         // Seed-derived query order (with repeats) so every failure
-        // replays from the printed seed alone.
+        // replays from the printed seed alone; the batch runs twice over
+        // so every pair has an in-batch repeat.
         let len = 4 + (derive_seed(seed, "len") % 8) as usize;
-        let workload: Vec<Value> = (0..len)
+        let once: Vec<Value> = (0..len)
             .map(|k| {
                 let idx =
                     derive_seed(seed, &format!("q{k}")) as usize % tenants[0].workload.len();
                 tenants[0].workload[idx].clone()
             })
             .collect();
+        let workload: Vec<Value> = once.iter().chain(&once).cloned().collect();
         tenants[0].workload = workload.clone();
+        let threaded = {
+            let t = &mut tenants[0];
+            let run = t
+                .executor
+                .run_workload_transported(
+                    &mut t.owner,
+                    &mut t.router,
+                    &workload,
+                    &BinTransport::Threaded,
+                )
+                .unwrap();
+            t.executor.set_cache_capacity(32); // the TCP pass re-fetches
+            run.answers
+        };
 
         let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(4));
         let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
 
         let t = &mut tenants[0];
         let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
-        t.executor.set_wire_mode(WireMode::LockStep);
-        let lock_step = t
-            .executor
-            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
-            .unwrap();
-        t.executor.set_cache_capacity(32); // reset the bin cache between passes
-        t.executor.set_wire_mode(WireMode::Pipelined { window });
+        t.executor.set_pipeline_window(window);
         let pipelined = t
             .executor
             .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
             .unwrap();
-        prop_assert_eq!(lock_step.answers, pipelined.answers);
+        prop_assert_eq!(&threaded, &pipelined.answers);
+        t.executor.set_cache_capacity(1);
+        let waiters_missed = t
+            .executor
+            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
+            .unwrap();
+        prop_assert_eq!(waiters_missed.cache_hits, 0);
+        prop_assert_eq!(&threaded, &waiters_missed.answers);
         reclaim_servers(daemons, &mut tenants);
     }
 }

@@ -401,14 +401,14 @@ impl WireMessage {
     }
 
     /// Decodes one complete wire frame back into a message, discarding the
-    /// correlation id (lock-step callers pair request and response by
-    /// position, so the id is redundant for them).
+    /// correlation id (for callers that pair request and response by
+    /// position).
     pub fn decode(frame: &[u8]) -> Result<WireMessage> {
         Self::decode_corr(frame).map(|(_, msg)| msg)
     }
 
     /// Decodes one complete wire frame back into a message plus the
-    /// correlation id its header carried (0 for legacy v1 frames).
+    /// correlation id its header carried.
     pub fn decode_corr(frame: &[u8]) -> Result<(u64, WireMessage)> {
         let (msg_type, corr, payload) = decode_frame_corr(frame)?;
         let mut r = Reader::new(payload);

@@ -7,7 +7,7 @@
 //! attribute — which is precisely the leakage the frequency-count attack in
 //! `pds-adversary` exploits, and which QB removes (§VI of the paper).
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_storage::{Relation, Tuple};
@@ -90,11 +90,11 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
     /// bin ride the `BinPairRequest` next to the clear-text non-sensitive
     /// values, and the cloud answers both sides from its indexes in a
     /// single `BinPayload`.  Built from the two pipeline halves so the
-    /// lock-step and pipelined dispatch disciplines share one code path.
+    /// in-process and TCP paths share one code path.
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         let tags = self
@@ -102,10 +102,6 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
             .expect("det-index always splits its composed episode");
         let (nonsensitive, rows) = session.bin_pair_by_tags(request, tags)?;
         self.finish_composed(owner, request, nonsensitive, rows)
-    }
-
-    fn pipelines_composed(&self) -> bool {
-        true
     }
 
     fn composed_wire_tags(

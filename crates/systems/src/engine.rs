@@ -1,6 +1,15 @@
 //! The common interface of secure selection back-ends.
+//!
+//! A back-end answers a Query Binning bin-pair episode in one of two
+//! shapes.  In process, [`SecureSelectionEngine::select_bin_episode`] runs
+//! the whole episode against a [`CloudSession`] — composed in one round,
+//! or fine-grained over several.  Over TCP, only composed episodes whose
+//! sensitive side the cloud resolves from its tag index can travel; they
+//! split into an uplink half ([`SecureSelectionEngine::composed_wire_tags`])
+//! and a downlink half ([`SecureSelectionEngine::finish_composed`]) so a
+//! window of them can be in flight at once.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
 use pds_common::PdsError;
 use pds_common::{AttrId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
@@ -95,13 +104,9 @@ pub trait SecureSelectionEngine: Send {
     }
 
     /// Executes one whole Query Binning bin-pair episode against an
-    /// [`EpisodeChannel`]: the clear-text sub-query for the non-sensitive
-    /// bin plus the encrypted sub-query for the sensitive bin, inside the
-    /// episode the caller has already opened.
-    ///
-    /// The channel is a trait object so the same engine code runs against
-    /// the in-process [`pds_cloud::CloudSession`] *and* the socket-backed
-    /// [`pds_cloud::RemoteSession`] without knowing which it got.
+    /// in-process [`CloudSession`]: the clear-text sub-query for the
+    /// non-sensitive bin plus the encrypted sub-query for the sensitive
+    /// bin, inside the episode the caller has already opened.
     ///
     /// The default implementation is the fine-grained multi-round path
     /// ([`fine_grained_bin_episode`]); back-ends that can resolve a bin-set
@@ -110,7 +115,7 @@ pub trait SecureSelectionEngine: Send {
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         fine_grained_bin_episode(self, owner, session, request)
@@ -123,26 +128,16 @@ pub trait SecureSelectionEngine: Send {
         false
     }
 
-    /// Whether this back-end's composed episode splits into the two
-    /// pipeline-able halves below: an uplink half that only *builds* the
-    /// wire tokens ([`SecureSelectionEngine::composed_wire_tags`]) and a
-    /// downlink half that only *post-processes* the response
-    /// ([`SecureSelectionEngine::finish_composed`]), with no owner↔cloud
-    /// exchange in between.  Such episodes can be dispatched pipelined: a
-    /// whole window of requests written back-to-back before any response
-    /// is read.  Back-ends whose composed episode needs the response to
-    /// form the next request (or that do not compose at all) return
-    /// `false` and run lock-step.
-    fn pipelines_composed(&self) -> bool {
-        false
-    }
-
-    /// The uplink half of a pipelined composed episode: the opaque search
-    /// tokens of the sensitive bin, ready to ride a `BinPairRequest`.
-    /// Returns `Ok(None)` when this back-end cannot split the episode
-    /// (then [`SecureSelectionEngine::select_bin_episode`] is the only
-    /// path); `Err` for owner-side failures such as querying before
-    /// outsourcing.
+    /// The uplink half of a composed episode over TCP: the opaque search
+    /// tokens of the sensitive bin, ready to ride a `BinPairRequest` that
+    /// the cloud resolves from its tag index.  It only *builds* the tokens
+    /// and the downlink half ([`SecureSelectionEngine::finish_composed`])
+    /// only *post-processes* the response, with no owner↔cloud exchange in
+    /// between — which is what lets a whole window of requests be written
+    /// back-to-back before any response is read.  Returns `Ok(None)` when
+    /// this back-end cannot split its episode this way (then it runs only
+    /// in process, through [`SecureSelectionEngine::select_bin_episode`]);
+    /// `Err` for owner-side failures such as querying before outsourcing.
     fn composed_wire_tags(
         &mut self,
         owner: &mut DbOwner,
@@ -152,7 +147,7 @@ pub trait SecureSelectionEngine: Send {
         Ok(None)
     }
 
-    /// The downlink half of a pipelined composed episode: owner-side
+    /// The downlink half of a composed episode over TCP: owner-side
     /// decrypt-and-filter of a `BinPayload` that answered the tokens from
     /// [`SecureSelectionEngine::composed_wire_tags`].  Pure per-episode
     /// post-processing — it must not talk to the cloud, which is what
@@ -211,7 +206,7 @@ pub fn decrypt_real_matches(
 pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     owner: &mut DbOwner,
-    session: &mut dyn EpisodeChannel,
+    session: &mut CloudSession<'_>,
     request: &BinEpisodeRequest,
 ) -> Result<BinEpisodeOutcome> {
     let _span = pds_obs::obs_span("engine.fine_grained");
@@ -223,17 +218,7 @@ pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     let sensitive = if request.sensitive_values.is_empty() {
         Vec::new()
     } else {
-        // Multi-round back-ends drive the server's fine-grained methods
-        // directly, which only an in-process channel can grant.
-        let server = session.local_server().ok_or_else(|| {
-            PdsError::Wire(format!(
-                "the {} back-end runs multi-round fine-grained episodes, \
-                 which need in-process server access; a remote channel only \
-                 carries composed single-round episodes",
-                engine.name()
-            ))
-        })?;
-        engine.select(owner, server, &request.sensitive_values)?
+        engine.select(owner, session.server_mut(), &request.sensitive_values)?
     };
     Ok(BinEpisodeOutcome {
         nonsensitive,
@@ -284,7 +269,7 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         (**self).select_bin_episode(owner, session, request)
@@ -292,10 +277,6 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
 
     fn hides_access_pattern(&self) -> bool {
         (**self).hides_access_pattern()
-    }
-
-    fn pipelines_composed(&self) -> bool {
-        (**self).pipelines_composed()
     }
 
     fn composed_wire_tags(
